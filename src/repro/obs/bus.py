@@ -22,12 +22,20 @@ event traffic — the first event at or past the next due time triggers one
 ``sample`` event per place (queue depths, outstanding distributed steal
 requests).  No simulated process is created, so sampling cannot perturb
 the schedule either.
+
+Routing: every emitted event is schema-checked, counted, fed to the
+outstanding-steal bookkeeping and may trigger the sampler, but an
+:class:`~repro.obs.events.ObsEvent` is built and handed to sinks only
+for kinds some subscribed sink consumes (:attr:`Sink.consumes`).  A
+bus whose only sink is the :class:`~repro.obs.metrics.MetricsRegistry`
+(the fleet-telemetry default) therefore skips the per-task and
+per-probe kinds after the counter update.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.events import EVENT_SCHEMA, ObsEvent
@@ -35,6 +43,11 @@ from repro.obs.sinks import Sink
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import SimRuntime
+
+#: kind -> its schema's field names as a set: one ``keys() ==`` test is
+#: the length-plus-membership schema check.
+_FIELD_SETS: Dict[str, FrozenSet[str]] = {
+    kind: frozenset(names) for kind, names in EVENT_SCHEMA.items()}
 
 
 class EventBus:
@@ -47,6 +60,9 @@ class EventBus:
         self.rt: Optional["SimRuntime"] = None
         self.counts: Counter = Counter()
         self._sinks: List[Sink] = []
+        #: kind -> the subscribed sinks consuming it, in subscription
+        #: order; kinds no sink consumes are absent.
+        self._routes: Dict[str, Tuple[Sink, ...]] = {}
         self._next_sample = 0.0
         self._sampling = False
         self._clock = None  # standalone wall clock (attach_clock)
@@ -66,7 +82,17 @@ class EventBus:
         immediately — but events emitted before the subscription are
         gone; subscribe first when you need the full stream.
         """
+        unknown = set(sink.consumes or ()).difference(EVENT_SCHEMA)
+        if unknown:
+            raise ConfigError(f"{type(sink).__name__} consumes unknown "
+                              f"event kinds {sorted(unknown)}")
         self._sinks.append(sink)
+        self._routes = {}
+        for kind in EVENT_SCHEMA:
+            sinks = tuple(s for s in self._sinks
+                          if s.consumes is None or kind in s.consumes)
+            if sinks:
+                self._routes[kind] = sinks
         if self.rt is not None or self._clock is not None:
             sink.open(self, self.rt)
         return sink
@@ -114,19 +140,21 @@ class EventBus:
     def emit(self, _kind: str, **fields: object) -> None:
         """Dispatch one event, stamped with the current simulated time.
 
+        Every event is validated, counted and may trigger the sampler;
+        only sinks consuming ``_kind`` receive it.
+
         The event kind is positional-only in spirit (named ``_kind``) so
         schema field names — ``msg_send`` carries a ``kind`` field — can
         never collide with it.
         """
         kind = _kind
-        schema = EVENT_SCHEMA.get(kind)
-        if schema is None:
+        names = _FIELD_SETS.get(kind)
+        if names is None:
             raise ConfigError(f"unknown event kind {kind!r}")
-        if len(fields) != len(schema) or any(f not in fields
-                                             for f in schema):
+        if fields.keys() != names:
             raise ConfigError(
                 f"event {kind!r} fields {sorted(fields)} do not match "
-                f"schema {list(schema)}")
+                f"schema {list(EVENT_SCHEMA[kind])}")
         now = self.rt.env.now if self.rt is not None else self._clock()
         self.counts[kind] += 1
         if kind == "steal_request":
@@ -135,9 +163,11 @@ class EventBus:
         elif kind in ("chunk_arrive", "steal_miss"):
             self._outstanding.get(fields["place"], set()).discard(  # type: ignore[arg-type]
                 fields["worker"])
-        ev = ObsEvent(now, kind, fields)
-        for sink in self._sinks:
-            sink.on_event(ev)
+        sinks = self._routes.get(kind)
+        if sinks is not None:
+            ev = ObsEvent(now, kind, fields)
+            for sink in sinks:
+                sink.on_event(ev)
         if (self.sample_interval is not None and not self._sampling
                 and now >= self._next_sample):
             self._sample(now)

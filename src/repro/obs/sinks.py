@@ -15,7 +15,9 @@ Three concrete sinks ship with the library:
 
 Write your own by subclassing :class:`Sink`: ``open`` is called at
 attach time (runtime available for clock/topology metadata),
-``on_event`` per event, ``close`` once at run end.  A sink that sets
+``on_event`` per consumed event, ``close`` once at run end.  A sink
+that declares ``consumes`` (a frozenset of event kinds) is only handed
+those kinds; the default ``None`` means every kind.  A sink that sets
 ``stats_key`` contributes a block to ``RunStats.snapshot()["obs"]`` via
 its ``snapshot()``.
 """
@@ -23,7 +25,7 @@ its ``snapshot()``.
 from __future__ import annotations
 
 import json
-from typing import IO, TYPE_CHECKING, Dict, List, Optional
+from typing import IO, TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 from repro.errors import ConfigError
 
@@ -39,12 +41,16 @@ class Sink:
     #: Key under which :meth:`snapshot` is merged into the run snapshot's
     #: ``"obs"`` block; ``None`` opts out.
     stats_key: Optional[str] = None
+    #: Event kinds :meth:`on_event` handles; ``None`` means every kind.
+    #: The bus builds an event object and calls the sink only for these,
+    #: so a sink that ignores most of the stream should declare them.
+    consumes: Optional[FrozenSet[str]] = None
 
     def open(self, bus: "EventBus", rt: "SimRuntime") -> None:
         """Called once when the bus attaches to a runtime."""
 
     def on_event(self, ev: "ObsEvent") -> None:
-        """Called for every emitted event."""
+        """Called for every emitted event whose kind the sink consumes."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -125,6 +131,9 @@ class ChromeTraceSink(Sink):
     - per-place queue depths and outstanding steal requests as counter
       ("C") tracks, when the bus's sampler is enabled.
     """
+
+    consumes = frozenset(
+        {"task_end", "steal_request", "chunk_arrive", "fault", "sample"})
 
     def __init__(self, path: str) -> None:
         self.path = path

@@ -60,12 +60,18 @@ class _StealScan(KernelRound):
     its wake cause to :meth:`on_wake`, which starts the next round (or a
     collapsed one) in place.  The generator resumes only with a task in
     hand, or with ``None`` once the termination gate opens.
+
+    **Observation:** with an event bus attached the scan emits the
+    events of the generator prefix it replaces — ``mailbox_get``,
+    ``steal_attempt``/``steal_hit`` (tier ``local``) and, in idle mode,
+    ``worker_park`` — with the same fields, in the same order, at the
+    same simulated instants, so observed runs execute this round too.
     """
 
     __slots__ = ("worker", "st", "costs", "phase", "order", "idx",
                  "peers", "task", "mailbox_get", "deque_pop",
                  "idle", "park", "board", "gate", "fast_round",
-                 "gate_registered")
+                 "gate_registered", "obs")
 
     def __init__(self, env, proc, worker: "Worker") -> None:
         super().__init__(env, proc)
@@ -86,6 +92,9 @@ class _StealScan(KernelRound):
         self.gate = None
         self.fast_round = None
         self.gate_registered = False
+        #: The runtime's event bus (attached before the run starts, so
+        #: fixed for the scan's lifetime); ``None`` when unobserved.
+        self.obs = rt.obs
 
     def attach_idle(self, park, board, gate, fast_round) -> None:
         """Enter idle mode: this scan owns the worker's park and rounds."""
@@ -129,6 +138,8 @@ class _StealScan(KernelRound):
             if idx < len(self.order):
                 self.idx = idx
                 self.st.local_attempts += 1
+                if self.obs is not None:
+                    self._emit_attempt()
                 env._seq += 1
                 env._arm[self._h] = env._seq
                 _heappush(env._queue, (env._now + costs.local_steal_attempt,
@@ -161,6 +172,8 @@ class _StealScan(KernelRound):
                         self.order = order
                         self.idx = 0
                         self.st.local_attempts += 1
+                        if self.obs is not None:
+                            self._emit_attempt()
                         self.phase = 1
                         env._seq += 1
                         env._arm[self._h] = env._seq
@@ -174,11 +187,22 @@ class _StealScan(KernelRound):
                         self._resolve(SCAN_MISS)
                     return
                 self.st.mailbox_hits += 1
+                if self.obs is not None:
+                    self.obs.emit("mailbox_get",
+                                  place=worker.place.place_id,
+                                  worker=worker.worker_index,
+                                  task=task.task_id)
             self._resolve(task)
         elif phase == 2:
             # The steal-success stall fired; settle the task.
             worker.overhead_cycles += costs.local_steal_success
             self.st.local_hits += 1
+            if self.obs is not None:
+                victim = self.peers[self.order[self.idx]]
+                self.obs.emit("steal_hit", tier="local",
+                              place=worker.place.place_id,
+                              worker=worker.worker_index,
+                              victim=victim.worker_index, tasks=1)
             task = self.task
             self.task = None
             self._resolve(task)
@@ -186,6 +210,14 @@ class _StealScan(KernelRound):
             # Phase 3 (idle mode): a collapsed round's end stall fired —
             # the legacy generator would now run the failed-round path.
             self._park_failed_round()
+
+    def _emit_attempt(self) -> None:
+        """``steal_attempt`` for the probe being armed (observed runs)."""
+        worker = self.worker
+        self.obs.emit("steal_attempt", tier="local",
+                      place=worker.place.place_id,
+                      worker=worker.worker_index,
+                      victim=self.peers[self.order[self.idx]].worker_index)
 
     # -- kernel-resident idle loop (tail-less schedulers) ---------------------
     def begin_idle(self) -> "_StealScan":
@@ -216,6 +248,10 @@ class _StealScan(KernelRound):
         place.note_failed_steal()
         rt.scheduler.note_failed_round(worker)
         self.st.failed_rounds += 1
+        if self.obs is not None:
+            self.obs.emit("worker_park", place=place.place_id,
+                          worker=worker.worker_index,
+                          backoff=worker._backoff)
         park = self.park
         gate = self.gate
         park.begin(worker._backoff, gate.is_open)
@@ -367,8 +403,10 @@ class Worker:
         # round would end, the scheduler commits the round's counters and
         # RNG draws in one call and the kernel sleeps once to the round's
         # end time instead of resuming this generator per probe.  Fault
-        # plans and observers watch the intermediate micro-events, so
-        # either one disables the collapse.
+        # plans act at the intermediate micro-events, and an observer
+        # would see one heap entry stand in for many probes (wrong event
+        # timestamps, sampler firing at different points), so either one
+        # disables the collapse.
         fast_round = None
         sleep_at = None
         if (_engine.KERNEL == "flat" and scheduler._fast_round_ok
@@ -378,14 +416,14 @@ class Worker:
         # Kernel-resident steal scan (flat kernel only): the universal
         # find_work prefix — deque-op stall, own pop, mailbox probe,
         # co-located scan — runs from the dispatch loop without resuming
-        # this generator per probe.  Only sound when the scheduler uses
-        # the stock find_work (an override may reorder the tiers), and
-        # fault plans / observers watch the per-probe resumes, so either
-        # one falls back to the generator path.
+        # this generator per probe, emitting the prefix's bus events
+        # itself when observed.  Only sound when the scheduler uses the
+        # stock find_work (an override may reorder the tiers), and fault
+        # plans act at the per-probe resumes, so either one falls back to
+        # the generator path.
         scan = None
         find_work_tail = None
-        if (_engine.KERNEL == "flat" and rt.faults is None
-                and rt.obs is None):
+        if _engine.KERNEL == "flat" and rt.faults is None:
             from repro.sched.base import Scheduler as _SchedulerBase
             if type(scheduler).find_work is _SchedulerBase.find_work:
                 scan = _StealScan(env, self.proc, self)

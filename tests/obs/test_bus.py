@@ -1,4 +1,4 @@
-"""Event-bus wiring: attach semantics, schema validation, counts."""
+"""Event-bus wiring: attach semantics, schema validation, counts, routing."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.topology import ClusterSpec
 from repro.errors import ConfigError
 from repro.obs import EVENT_SCHEMA, EventBus, InMemorySink
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.runtime import SimRuntime
 from repro.sched import make_scheduler
 
@@ -154,3 +155,75 @@ class TestSimulatedScheduleUnchanged:
         assert "obs" not in a
         b.pop("obs")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestRouting:
+    """Sinks receive only the kinds they consume; the bus still sees all."""
+
+    @staticmethod
+    def run_with(*sinks, sample_interval=100_000):
+        rt = make_rt()
+        bus = EventBus(sample_interval=sample_interval)
+        for sink in sinks:
+            bus.subscribe(sink)
+        bus.attach(rt)
+        stats = rt.run(fanout_program(24, work=500_000, n_places=4))
+        return bus, stats
+
+    def test_metrics_only_bus_matches_full_bus(self):
+        import json
+        lone = MetricsRegistry()
+        lone_bus, lone_stats = self.run_with(lone)
+        full = MetricsRegistry()
+        full_bus, full_stats = self.run_with(InMemorySink(), full)
+        assert lone_bus.counts == full_bus.counts
+        assert (json.dumps(lone.snapshot(), sort_keys=True)
+                == json.dumps(full.snapshot(), sort_keys=True))
+        assert lone.series and lone.series.keys() == full.series.keys()
+        assert (json.dumps(lone_stats.snapshot(), sort_keys=True)
+                == json.dumps(full_stats.snapshot(), sort_keys=True))
+
+    def test_unconsumed_kind_still_schema_checked(self):
+        rt = make_rt()
+        bus = EventBus()
+        bus.subscribe(MetricsRegistry())
+        bus.attach(rt)
+        assert "task_start" not in MetricsRegistry.consumes
+        with pytest.raises(ConfigError, match="do not match schema"):
+            bus.emit("task_start", task=1)
+        with pytest.raises(ConfigError, match="do not match schema"):
+            bus.emit("task_start", task=1, place=0, worker=0, extra=9)
+        with pytest.raises(ConfigError, match="unknown event kind"):
+            bus.emit("nosuch_event", foo=1)
+
+    def test_consuming_sink_gets_exactly_its_kinds_in_order(self):
+        class Picky(InMemorySink):
+            consumes = frozenset({"steal_attempt", "task_end", "sample"})
+
+        everything = InMemorySink()
+        picky = Picky()
+        self.run_with(everything, picky)
+        expected = [ev for ev in everything.events
+                    if ev.kind in Picky.consumes]
+        assert set(picky.kinds()) == Picky.consumes
+        assert picky.events == expected  # same objects, same order
+
+    def test_sink_subscribed_after_attach_is_routed(self):
+        class Ends(InMemorySink):
+            consumes = frozenset({"task_end"})
+
+        rt = make_rt()
+        bus = EventBus()
+        bus.subscribe(MetricsRegistry())
+        bus.attach(rt)
+        late = bus.subscribe(Ends())
+        stats = rt.run(fanout_program(24, work=500_000, n_places=4))
+        assert late.kinds() == ["task_end"]
+        assert len(late.events) == stats.tasks_executed
+
+    def test_unknown_consumed_kind_rejected(self):
+        class Typo(InMemorySink):
+            consumes = frozenset({"task_ends"})
+
+        with pytest.raises(ConfigError, match="task_ends"):
+            EventBus().subscribe(Typo())
