@@ -175,7 +175,7 @@ class Network:
         self._recv_free[dst] = rx_end
         total = rx_end - now
         if self.obs is not None:
-            self.obs.emit("msg_send", src=src, dst=dst, kind=kind,
+            self.obs.emit("msg_send", src=src, dst=dst, msg_kind=kind,
                           bytes=nbytes, packets=packets, latency=total)
         return total
 

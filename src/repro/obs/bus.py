@@ -144,8 +144,9 @@ class EventBus:
         only sinks consuming ``_kind`` receive it.
 
         The event kind is positional-only in spirit (named ``_kind``) so
-        schema field names — ``msg_send`` carries a ``kind`` field — can
-        never collide with it.
+        it never collides with a schema field.  No field may be named
+        ``t`` or ``kind`` either: :meth:`ObsEvent.as_row` writes those
+        keys first.
         """
         kind = _kind
         names = _FIELD_SETS.get(kind)

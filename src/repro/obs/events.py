@@ -43,7 +43,8 @@ Mailbox:
 
 Network:
     ``msg_send``     — one priced transmission attempt (every packet of
-                       it), with the latency the caller will pay.
+                       it), with the latency the caller will pay
+                       (``msg_kind`` = the network message kind).
 
 Worker loop:
     ``worker_park``  — a worker found nothing anywhere and parked
@@ -99,7 +100,7 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "radius_fallback": ("place", "worker", "strikes"),
     "mailbox_put": ("place", "task"),
     "mailbox_get": ("place", "worker", "task"),
-    "msg_send": ("src", "dst", "kind", "bytes", "packets", "latency"),
+    "msg_send": ("src", "dst", "msg_kind", "bytes", "packets", "latency"),
     "worker_park": ("place", "worker", "backoff"),
     "fault": ("what", "place", "detail"),
     "sample": ("place", "private", "shared", "mailbox", "outstanding"),

@@ -163,11 +163,12 @@ class _StealScan(KernelRound):
                                 w for w in worker.place.workers
                                 if w is not worker]
                         self.peers = peers
-                    rng = worker.victims_rng
-                    if rng is None:
-                        rng = worker.victims_rng = \
-                            worker.runtime.rngs.stream("victims", *worker.wid)
-                    order = rng.permutation(len(peers)).tolist()
+                    orders = worker.victim_orders
+                    if orders is None:
+                        orders = worker.victim_orders = \
+                            worker.runtime.rngs.permutations(
+                                len(peers), "victims", *worker.wid)
+                    order = orders.draw()
                     if order:
                         self.order = order
                         self.idx = 0
@@ -325,13 +326,16 @@ class Worker:
         self.tasks_run = 0
         self._backoff = runtime.idle_backoff_base
         #: Steal-tier caches (scheduler-owned, lazily filled): the victim
-        #: RNG streams are keyed by this worker's id and the peer/place
-        #: orders are structurally constant, so re-deriving them on every
+        #: draw sources are keyed by this worker's id and the peer/place
+        #: lists are structurally constant, so re-deriving them on every
         #: steal attempt was pure overhead.
-        self.victims_rng = None
+        self.victim_orders = None
         self.steal_peers: "list[Worker] | None" = None
-        self.place_victims_rng = None
+        self.place_orders = None
         self.other_places: list[int] | None = None
+        #: Batched remote-victim indices into ``other_places`` (the
+        #: blind-random tails: Lifeline, RandomWS).
+        self.remote_victims = None
 
     def reset_backoff(self) -> None:
         """Re-arm the idle backoff at the runtime's (possibly tuned) base."""
@@ -409,7 +413,7 @@ class Worker:
         # disables the collapse.
         fast_round = None
         sleep_at = None
-        if (_engine.KERNEL == "flat" and scheduler._fast_round_ok
+        if (_engine.KERNEL == "flat" and scheduler.collapses_rounds()
                 and rt.faults is None and rt.obs is None):
             fast_round = scheduler.fast_round
             sleep_at = env.sleep_at

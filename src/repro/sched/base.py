@@ -241,13 +241,13 @@ class Scheduler(ABC):
         if peers is None:
             peers = worker.steal_peers = [
                 w for w in worker.place.workers if w is not worker]
-        rng = worker.victims_rng
-        if rng is None:
-            rng = worker.victims_rng = rt.rngs.stream("victims", *worker.wid)
-        order = rng.permutation(len(peers))
+        orders = worker.victim_orders
+        if orders is None:
+            orders = worker.victim_orders = rt.rngs.permutations(
+                len(peers), "victims", *worker.wid)
         obs = rt.obs
-        for idx in order:
-            victim = peers[int(idx)]
+        for idx in orders.draw():
+            victim = peers[idx]
             st.local_attempts += 1
             if obs is not None:
                 obs.emit("steal_attempt", tier="local",
@@ -634,15 +634,22 @@ class Scheduler(ABC):
     #: Whether ``find_work`` includes the local shared-deque tier.
     _fast_shared_tier: bool = True
 
+    def collapses_rounds(self) -> bool:
+        """Whether :meth:`fast_round` may be used in this run at all.
+
+        Blind policies (random victims, lifelines) send real steal
+        traffic on every multi-place round regardless of surplus, so
+        their rounds never collapse and the worker loop never asks.
+        """
+        return self._fast_round_ok and (
+            self.uses_status_board or not self.distributed
+            or self.rt.spec.n_places <= 1)
+
     def _fast_remote_ok(self, worker: "Worker") -> bool:
         """Whether this round's remote tier is provably a no-op."""
         rt = self.rt
         if not self.distributed or rt.spec.n_places <= 1:
             return True
-        if not self.uses_status_board:
-            # Blind policies (random victims, lifelines) send real steal
-            # traffic regardless of surplus: never collapsible.
-            return False
         return not rt.board.has_surplus_other(worker.place.place_id)
 
     def _fast_remote_commit(self, worker: "Worker") -> None:
@@ -653,16 +660,16 @@ class Scheduler(ABC):
     def fast_round(self, worker: "Worker"):
         """Collapse one provably-failed steal round into a single sleep.
 
-        Called by the worker loop (flat kernel, no faults, no observer)
-        *instead of* the deque pop + :meth:`find_work` generator.  When
-        every tier is empty and no other heap entry comes due before the
-        round would end, the legacy round is a fixed script — a known
-        sequence of sleeps, counter bumps, and RNG draws whose outcome is
-        already determined — so this method commits those side effects
-        synchronously and returns the round's end time for one
-        ``sleep_at``.  Returns ``None`` when the round might find work or
-        interleave with any other process; the caller then runs the exact
-        legacy path.
+        Called by the worker loop (flat kernel, no faults, no observer,
+        :meth:`collapses_rounds`) *instead of* the deque pop +
+        :meth:`find_work` generator.  When every tier is empty and no
+        other heap entry comes due before the round would end, the
+        legacy round is a fixed script — a known sequence of sleeps,
+        counter bumps, and RNG draws whose outcome is already determined
+        — so this method commits those side effects synchronously and
+        returns the round's end time for one ``sleep_at``.  Returns
+        ``None`` when the round might find work or interleave with any
+        other process; the caller then runs the exact legacy path.
 
         The commit must replicate *every* observable side effect in the
         legacy order: simulated-time float adds, overhead-cycle adds,
@@ -703,10 +710,11 @@ class Scheduler(ABC):
         if not self._fast_remote_ok(worker):
             return None
         # -- commit ---------------------------------------------------------
-        rng = worker.victims_rng
-        if rng is None:
-            rng = worker.victims_rng = rt.rngs.stream("victims", *worker.wid)
-        rng.permutation(n)
+        orders = worker.victim_orders
+        if orders is None:
+            orders = worker.victim_orders = rt.rngs.permutations(
+                n, "victims", *worker.wid)
+        orders.draw()
         st = rt.stats.steals
         st.local_attempts += n
         oc = worker.overhead_cycles + costs.private_deque_op
@@ -735,11 +743,25 @@ class Scheduler(ABC):
             others = worker.other_places = [
                 p for p in range(self.rt.spec.n_places)
                 if p != worker.place.place_id]
-        rng = worker.place_victims_rng
-        if rng is None:
-            rng = worker.place_victims_rng = self.rt.rngs.stream(
-                "place-victims", *worker.wid)
-        return [others[int(i)] for i in rng.permutation(len(others))]
+        orders = worker.place_orders
+        if orders is None:
+            orders = worker.place_orders = self.rt.rngs.permutations(
+                len(others), "place-victims", *worker.wid)
+        return [others[i] for i in orders.draw()]
+
+    def _random_victims(self, worker: "Worker", stream: str,
+                        k: int) -> List[int]:
+        """``k`` other places drawn uniformly with replacement (blind)."""
+        others = worker.other_places
+        if others is None:
+            others = worker.other_places = [
+                p for p in range(self.rt.spec.n_places)
+                if p != worker.place.place_id]
+        idx = worker.remote_victims
+        if idx is None:
+            idx = worker.remote_victims = self.rt.rngs.indices(
+                len(others), stream, *worker.wid)
+        return [others[idx.draw()] for _ in range(k)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Scheduler {self.name}>"

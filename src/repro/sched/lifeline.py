@@ -58,7 +58,7 @@ class LifelineWS(DistWS):
     #: ``uses_status_board = False`` also means the collapsed-round fast
     #: path (inherited via DistWS) only ever fires single-place: with
     #: peers to rob blindly, a failed round sends real steal traffic and
-    #: registers lifelines, so ``_fast_remote_ok`` rejects it.
+    #: registers lifelines, so ``collapses_rounds`` rules it out.
     uses_status_board = False
 
     def __init__(self, attempts_per_round: int = 2, **knobs) -> None:
@@ -117,11 +117,8 @@ class LifelineWS(DistWS):
         if task is not None:
             return task
         if self.rt.spec.n_places > 1:
-            rng = self.rt.rngs.stream("lifeline-victims", *worker.wid)
-            others = [p for p in range(self.rt.spec.n_places)
-                      if p != worker.place.place_id]
-            victims = [others[int(rng.integers(len(others)))]
-                       for _ in range(self.attempts_per_round)]
+            victims = self._random_victims(worker, "lifeline-victims",
+                                           self.attempts_per_round)
             task = yield from self._steal_remote(worker, victims)
             if task is not None:
                 return task

@@ -52,15 +52,15 @@ class LocalizedWS(DistWS):
         self.radius_strikes = int(radius_strikes)
         #: worker wid -> consecutive failed local rounds.
         self._strikes: Dict[Tuple[int, int], int] = {}
-        #: worker wid -> dedicated victim-shuffle RNG.
-        self._radius_rngs: Dict[Tuple[int, int], object] = {}
+        #: worker wid -> batched in-radius victim shuffles.
+        self._radius_orders: Dict[Tuple[int, int], object] = {}
         #: place id -> places within ``steal_radius`` hops (static).
         self._neighbourhoods: Dict[int, List[int]] = {}
 
     def bind(self, runtime) -> None:
         super().bind(runtime)
         self._strikes = {}
-        self._radius_rngs = {}
+        self._radius_orders = {}
         spec = runtime.spec
         self._neighbourhoods = {
             pi: [pj for pj in range(spec.n_places)
@@ -88,13 +88,12 @@ class LocalizedWS(DistWS):
     def _local_order(self, worker: "Worker") -> List[int]:
         """The worker's in-radius victims, freshly shuffled."""
         wid = worker.wid
-        rng = self._radius_rngs.get(wid)
-        if rng is None:
-            rng = self._radius_rngs[wid] = self.rt.rngs.stream(
-                "localized-victims", *wid)
         neighbourhood = self._neighbourhoods[worker.place.place_id]
-        return [neighbourhood[int(i)]
-                for i in rng.permutation(len(neighbourhood))]
+        orders = self._radius_orders.get(wid)
+        if orders is None:
+            orders = self._radius_orders[wid] = self.rt.rngs.permutations(
+                len(neighbourhood), "localized-victims", *wid)
+        return [neighbourhood[i] for i in orders.draw()]
 
     def find_work_tail(self, worker: "Worker") -> FindWork:
         task = yield from self._steal_local_shared(worker)

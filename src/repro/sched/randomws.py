@@ -45,10 +45,7 @@ class RandomWS(DistWS):
         if task is not None:
             return task
         if self.rt.spec.n_places > 1:
-            rng = self.rt.rngs.stream("random-victims", *worker.wid)
-            others = [p for p in range(self.rt.spec.n_places)
-                      if p != worker.place.place_id]
-            victims = [others[int(rng.integers(len(others)))]
-                       for _ in range(self.attempts_per_round)]
+            victims = self._random_victims(worker, "random-victims",
+                                           self.attempts_per_round)
             task = yield from self._steal_remote(worker, victims)
         return task

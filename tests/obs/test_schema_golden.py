@@ -11,7 +11,9 @@ from __future__ import annotations
 import io
 import json
 import os
+from collections import Counter
 
+from repro.apps import make_app
 from repro.cluster.topology import ClusterSpec
 from repro.obs import EVENT_SCHEMA, EventBus, JsonlSink
 from repro.runtime.runtime import SimRuntime
@@ -52,6 +54,31 @@ class TestGoldenSchema:
             keys = list(row)
             assert keys[:2] == ["t", "kind"]
             assert keys[2:] == list(EVENT_SCHEMA[row["kind"]])
+
+    def test_no_field_shadows_a_row_key(self):
+        # ObsEvent.as_row writes ``t`` and ``kind`` first; a schema field
+        # of either name would overwrite them in every JSONL row.
+        for kind, fields in EVENT_SCHEMA.items():
+            assert not {"t", "kind"} & set(fields), kind
+
+    def test_rows_keep_their_kind_on_a_messaging_run(self):
+        # A multi-place uts run sends steal requests, ships and replies,
+        # so msg_send rows are present alongside every other kind.
+        stream = io.StringIO()
+        _reset_task_ids()
+        rt = SimRuntime(
+            ClusterSpec(n_places=4, workers_per_place=2, max_threads=4),
+            make_scheduler("DistWS"), seed=7)
+        bus = EventBus(sample_interval=200_000)
+        bus.subscribe(JsonlSink(stream=stream))
+        bus.attach(rt)
+        make_app("uts", scale="test", seed=5).run(rt)
+        rows = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert bus.counts["msg_send"] > 0
+        for row in rows:
+            assert list(row) == ["t", "kind", *EVENT_SCHEMA[row["kind"]]]
+        assert Counter(row["kind"] for row in rows) == \
+            {k: n for k, n in bus.counts.items() if n}
 
 
 class TestDeterminism:

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import RngStreams, derive_seed
+from repro.errors import ConfigError
+from repro.sim.rng import BATCH, RngStreams, derive_seed
+
+#: Draws per identity check: past at least three batch boundaries.
+N_DRAWS = 3 * BATCH + 5
 
 
 class TestDeriveSeed:
@@ -61,3 +66,85 @@ class TestRngStreams:
         a = rngs.fresh("f").integers(0, 1000, size=5)
         b = rngs.fresh("f").integers(0, 1000, size=5)
         assert np.array_equal(a, b)  # same seed, fresh state each time
+
+
+class TestDrawSources:
+    """Batched sources replay the per-call draws of their stream exactly.
+
+    They rely on numpy buffering bounded draws at the bit-generator level
+    and on ``permuted`` shuffling rows as ``permutation`` does; these
+    tests are the guard should a numpy release change either.
+    """
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 15, 31])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_permutations_match_per_call_draws(self, n, seed):
+        src = RngStreams(seed).permutations(n, "victims", 2, 1)
+        ref = RngStreams(seed).stream("victims", 2, 1)
+        for _ in range(N_DRAWS):
+            assert src.draw() == ref.permutation(n).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 15, 31])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_indices_match_per_call_draws(self, n, seed):
+        src = RngStreams(seed).indices(n, "lifeline-victims", 0, 3)
+        ref = RngStreams(seed).stream("lifeline-victims", 0, 3)
+        for _ in range(N_DRAWS):
+            value = src.draw()
+            assert type(value) is int
+            assert value == int(ref.integers(n))
+
+    @pytest.mark.parametrize("kind", ["permutations", "indices"])
+    def test_state_equal_after_whole_batches(self, kind):
+        src = getattr(RngStreams(4), kind)(15, "s")
+        ref = RngStreams(4).stream("s")
+        for _ in range(2 * BATCH):
+            src.draw()
+            if kind == "permutations":
+                ref.permutation(15)
+            else:
+                ref.integers(15)
+        assert src._gen.bit_generator.state == ref.bit_generator.state
+
+    def test_same_path_same_source(self):
+        rngs = RngStreams(3)
+        assert rngs.permutations(7, "v", 1) is rngs.permutations(7, "v", 1)
+
+    def test_templates_shared_and_read_only(self):
+        rngs = RngStreams(3)
+        a = rngs.permutations(7, "a")
+        b = rngs.permutations(7, "b")
+        assert a._template is b._template
+        assert not a._template.flags.writeable
+
+    def test_batched_path_refuses_raw_stream(self):
+        rngs = RngStreams(3)
+        rngs.permutations(7, "v", 1)
+        with pytest.raises(ConfigError):
+            rngs.stream("v", 1)
+
+    def test_raw_path_refuses_batching(self):
+        rngs = RngStreams(3)
+        rngs.stream("v", 1)
+        with pytest.raises(ConfigError):
+            rngs.permutations(7, "v", 1)
+        with pytest.raises(ConfigError):
+            rngs.indices(7, "v", 1)
+
+    def test_path_keeps_one_n(self):
+        rngs = RngStreams(3)
+        rngs.permutations(7, "v")
+        rngs.indices(15, "i")
+        with pytest.raises(ConfigError):
+            rngs.permutations(8, "v")
+        with pytest.raises(ConfigError):
+            rngs.indices(14, "i")
+
+    def test_path_keeps_one_kind(self):
+        rngs = RngStreams(3)
+        rngs.permutations(7, "v")
+        rngs.indices(7, "i")
+        with pytest.raises(ConfigError):
+            rngs.indices(7, "v")
+        with pytest.raises(ConfigError):
+            rngs.permutations(7, "i")
