@@ -23,11 +23,12 @@ class AlwaysSharedDistWS(DistWS):
 
     name = "DistWS-AlwaysShared"
 
-    def map_task(self, task: Task, from_worker=None) -> None:
+    def map_task(self, task: Task, from_worker=None) -> float:
+        rt = self._bound_runtime()
         if not task.is_flexible:
-            self._push_private(task, from_worker)
-        else:
-            self._push_shared(task)
+            return self._push_private(task, from_worker)
+        return (rt.costs.locality_mapping_overhead
+                + self._push_shared(task))
 
 
 @pytest.mark.benchmark(group="ablation-mapping")

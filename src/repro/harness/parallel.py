@@ -60,7 +60,8 @@ from repro.errors import ConfigError
 
 #: Bump when the simulation's observable behaviour changes in a way the
 #: spec payload cannot express (schema migrations invalidate old entries).
-CACHE_SCHEMA_VERSION = 1
+#: 2: a child the fault injector re-homes is priced at its final home.
+CACHE_SCHEMA_VERSION = 2
 
 
 def _freeze_kwargs(kwargs: Optional[dict]) -> Tuple[Tuple[str, object], ...]:

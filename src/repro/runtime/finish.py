@@ -62,7 +62,8 @@ class FinishScope:
         if self._pending <= 0:
             raise SimulationError(f"task_done underflow in scope {self.name!r}")
         self._pending -= 1
-        self._maybe_complete()
+        if not self._pending:
+            self._maybe_complete()
 
     def close(self) -> None:
         """Seal the scope: no further registrations are expected.

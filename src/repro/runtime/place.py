@@ -79,7 +79,10 @@ class Place:
 
     def queued_total(self) -> int:
         """All tasks queued at this place (private + shared + mailbox)."""
-        return self.queued_private() + len(self.shared) + len(self.mailbox)
+        # Read straight off the containers: Algorithm 1's keep-local
+        # predicate asks for this on every flexible spawn.
+        return (self._n_private + len(self.shared._items)
+                + len(self.mailbox._items))
 
     def size(self) -> int:
         """The paper's ``size(p)``: demand at the place (running + queued)."""

@@ -79,13 +79,15 @@ class SimRuntime:
     # -- spawning ----------------------------------------------------------
     def spawn(self, task: Task, from_place: Optional[int] = None,
               finish: Optional[FinishScope] = None,
-              from_worker: Optional[Worker] = None) -> Task:
+              from_worker: Optional[Worker] = None) -> float:
         """Submit an activity for execution at its home place.
 
         ``from_place`` is where the spawner runs; a cross-place ``async``
         ships the closure over the network (counted).  The task joins
         ``finish`` (or, by default, its pre-assigned scope / the root
-        scope) for termination detection.
+        scope) for termination detection.  Returns the cycles the
+        scheduler's mapping decision cost (``Scheduler.map_task``), which
+        a spawning worker charges to the parent activity.
         """
         if not (0 <= task.home_place < self.spec.n_places):
             raise SchedulerError(
@@ -112,11 +114,11 @@ class SimRuntime:
             # The async itself crosses the network (X10 `async (p) S`).
             self.network.send(from_place, task.home_place,
                               task.closure_bytes, MSG_TASK_SHIP)
-        self.scheduler.map_task(task, from_worker)
+        cost = self.scheduler.map_task(task, from_worker)
         home = self.places[task.home_place]
         home.note_assignment()
         home.notify_work()
-        return task
+        return cost
 
     def task_finished(self, task: Task, worker: Worker) -> None:
         """Bookkeeping when an activity completes (called by the worker)."""

@@ -211,8 +211,11 @@ class TaskContext:
         if locality is not None and flexible is not None:
             raise SchedulerError("pass either locality= or flexible=")
         if locality is None:
-            from repro.apgas.annotations import resolve_locality
-            locality = resolve_locality(body, flexible)
+            if flexible is not None:
+                locality = FLEXIBLE if flexible else SENSITIVE
+            else:
+                from repro.apgas.annotations import resolve_locality
+                locality = resolve_locality(body, None)
         child = Task(
             body, self.place if place is None else place,
             locality=locality, work=work, reads=reads, writes=writes,

@@ -35,48 +35,71 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class _StealScan(KernelRound):
-    """Kernel-resident deque-pop + mailbox + co-located-steal round.
+    """The worker's hot cycle, run from the kernel's dispatch loop.
 
-    Executes the universal prefix of ``Scheduler.find_work`` (the tiers
-    every policy shares) step by step from the dispatch loop, arming one
-    heap entry per legacy ``sleep`` with the same due time and sequence
-    number and performing the same side effects in the same order — see
+    Covers everything a worker does between two entries into the
+    policy's remote tier, step by step from the dispatch loop: each
+    armed heap entry stands in for one legacy ``sleep`` (same due time,
+    same sequence number) and each step performs the side effects the
+    generator's resume would have, in the same order — see
     :class:`~repro.sim.engine.KernelRound` for the byte-identity
-    contract.  Resolves with the acquired task, or with ``SCAN_MISS`` so
-    the worker's generator runs the policy tail (shared deque, remote
-    steals) in ordinary yielded-event style.
+    contract.  That is:
+
+    - the local tiers of ``Scheduler.find_work``: the deque-op stall and
+      own pop, the mailbox probe (tier 0), the co-located scan (tier 1)
+      and, for a policy with a shared tier, the local shared-deque take
+      (tier 2);
+    - the execution of the task a tier found — :meth:`Worker._start_task`,
+      the work stall, :meth:`Worker._finish_task` — and the opening of
+      the next round: the termination-gate check, then a collapsed round
+      or the deque-op stall;
+    - a failed round's bookkeeping and park; the park delivers its wake
+      cause to :meth:`on_wake`, which opens the next round in place.
+
+    The worker's generator resumes only to run the policy tail (the scan
+    resolves with ``SCAN_MISS``) and to exit (``None``, once the gate is
+    open).  The generator hands back what the tail found: a task with
+    :meth:`run`, a miss with :meth:`park_failed`.  A policy without a
+    tail (X10WS) therefore runs its whole life in the kernel.
 
     Phases: 0 = the private-deque-op stall fired (pop own deque, probe
     the mailbox, open the co-located scan); 1 = one co-located probe
     fired (attempt the steal, advance or miss out); 2 = the
-    steal-success stall fired (settle the stolen task); 3 = a collapsed
-    round's end stall fired (idle mode: park straight from the kernel).
+    steal-success stall fired; 3 = a collapsed round's end stall fired
+    (park); 4 = the shared-deque-op stall fired, lock held (take the
+    oldest task); 5 = the running task's work stall fired (finish it,
+    open the next round).
 
-    **Idle mode** (:meth:`attach_idle`): for a scheduler with no policy
-    tail past the co-located tier (``find_work_tail is None``), the
-    *whole* idle cycle — failed round, park, wake, next round — runs
-    kernel-resident.  A miss performs the failed-round bookkeeping and
-    parks the worker without resuming the generator; the park delivers
-    its wake cause to :meth:`on_wake`, which starts the next round (or a
-    collapsed one) in place.  The generator resumes only with a task in
-    hand, or with ``None`` once the termination gate opens.
+    **Tier 2's lock.**  The take appends a bound callback to the
+    ``SimLock.acquire()`` event exactly where ``Process._handle`` appends
+    a generator's resume, so contended acquires queue FIFO and consume
+    sequence numbers as the generator's did.
+
+    **Failures.**  An exception raised in a kernel step (a task body, the
+    locality guard) is thrown into the worker's generator, so the run
+    ends as a dead worker process with the original exception as the
+    cause.  The entry points the generator calls itself (:meth:`open`,
+    :meth:`run`, :meth:`park_failed`) let exceptions propagate normally:
+    a running generator cannot be thrown into.
 
     **Observation:** with an event bus attached the scan emits the
-    events of the generator prefix it replaces — ``mailbox_get``,
-    ``steal_attempt``/``steal_hit`` (tier ``local``) and, in idle mode,
-    ``worker_park`` — with the same fields, in the same order, at the
-    same simulated instants, so observed runs execute this round too.
+    events of the generator code it replaces — ``mailbox_get``,
+    ``steal_attempt``/``steal_hit`` (tiers ``local`` and ``shared``) and
+    ``worker_park``; the task events come from the shared execute halves
+    — with the same fields, in the same order, at the same simulated
+    instants, so observed runs execute this cycle too.
     """
 
-    __slots__ = ("worker", "st", "costs", "phase", "order", "idx",
-                 "peers", "task", "mailbox_get", "deque_pop",
-                 "idle", "park", "board", "gate", "fast_round",
-                 "gate_registered", "obs")
+    __slots__ = ("worker", "rt", "st", "costs", "phase", "order", "idx",
+                 "peers", "task", "mailbox_get", "deque_pop", "shared",
+                 "has_tail", "park", "board", "gate", "fast_round", "obs",
+                 "_lock_cb")
 
-    def __init__(self, env, proc, worker: "Worker") -> None:
+    def __init__(self, env, proc, worker: "Worker", park, board, gate,
+                 fast_round, has_tail: bool) -> None:
         super().__init__(env, proc)
         self.worker = worker
-        rt = worker.runtime
+        rt = self.rt = worker.runtime
         self.st = rt.stats.steals
         self.costs = rt.costs
         self.phase = 0
@@ -86,131 +109,162 @@ class _StealScan(KernelRound):
         self.task: Task | None = None
         self.mailbox_get = worker.place.mailbox.try_get
         self.deque_pop = worker.deque.pop
-        self.idle = False
-        self.park = None
-        self.board = None
-        self.gate = None
-        self.fast_round = None
-        self.gate_registered = False
-        #: The runtime's event bus (attached before the run starts, so
-        #: fixed for the scan's lifetime); ``None`` when unobserved.
-        self.obs = rt.obs
-
-    def attach_idle(self, park, board, gate, fast_round) -> None:
-        """Enter idle mode: this scan owns the worker's park and rounds."""
-        self.idle = True
+        #: The place's shared deque when the policy has tier 2.
+        self.shared = worker.place.shared if rt.scheduler.shared_tier \
+            else None
+        self.has_tail = has_tail
         self.park = park
         self.board = board
         self.gate = gate
         self.fast_round = fast_round
+        #: The runtime's event bus (attached before the run starts, so
+        #: fixed for the scan's lifetime); ``None`` when unobserved.
+        self.obs = rt.obs
+        self._lock_cb = self._locked
         park.scan_owner = self
 
-    def begin(self) -> "_StealScan":
-        """Arm the round's opening deque-op stall; yield ``self`` after."""
-        self.phase = 0
-        env = self.env
-        env._seq += 1
-        env._arm[self._h] = env._seq
-        _heappush(env._queue,
-                  (env._now + self.costs.private_deque_op, env._seq, self._h))
+    # -- entry points the generator calls ----------------------------------
+    def open(self) -> "_StealScan":
+        """Open the worker's first round; yield ``self`` afterwards."""
+        self._open_round()
         return self
 
+    def run(self, task: Task) -> "_StealScan":
+        """Execute a task the policy tail found; yield ``self`` after."""
+        self._run(task)
+        return self
+
+    def park_failed(self) -> "_StealScan":
+        """The policy tail missed too: park; yield ``self`` after."""
+        self.worker._park_failed_round(self.park, self.board)
+        return self
+
+    # -- kernel steps --------------------------------------------------------
     def step(self) -> None:
         # _arm() is inlined in every branch: this method fires hundreds of
         # thousands of times per cell and the extra call frame is measurable.
-        phase = self.phase
-        costs = self.costs
-        worker = self.worker
-        env = self.env
-        if phase == 1:
-            # A co-located probe fired: attempt the steal it paid for.
-            worker.overhead_cycles += costs.local_steal_attempt
-            task = self.peers[self.order[self.idx]].deque.steal()
-            if task is not None:
-                self.task = task
-                self.phase = 2
-                env._seq += 1
-                env._arm[self._h] = env._seq
-                _heappush(env._queue, (env._now + costs.local_steal_success,
-                                       env._seq, self._h))
-                return
-            idx = self.idx + 1
-            if idx < len(self.order):
-                self.idx = idx
-                self.st.local_attempts += 1
-                if self.obs is not None:
-                    self._emit_attempt()
-                env._seq += 1
-                env._arm[self._h] = env._seq
-                _heappush(env._queue, (env._now + costs.local_steal_attempt,
-                                       env._seq, self._h))
-                return
-            if self.idle:
-                self._park_failed_round()
-            else:
-                self._resolve(SCAN_MISS)
-        elif phase == 0:
-            worker.overhead_cycles += costs.private_deque_op
-            task = self.deque_pop()
-            if task is None:
-                task = self.mailbox_get()
-                if task is None:
-                    peers = self.peers
-                    if peers is None:
-                        peers = worker.steal_peers
-                        if peers is None:
-                            peers = worker.steal_peers = [
-                                w for w in worker.place.workers
-                                if w is not worker]
-                        self.peers = peers
-                    orders = worker.victim_orders
-                    if orders is None:
-                        orders = worker.victim_orders = \
-                            worker.runtime.rngs.permutations(
-                                len(peers), "victims", *worker.wid)
-                    order = orders.draw()
-                    if order:
-                        self.order = order
-                        self.idx = 0
-                        self.st.local_attempts += 1
-                        if self.obs is not None:
-                            self._emit_attempt()
-                        self.phase = 1
-                        env._seq += 1
-                        env._arm[self._h] = env._seq
-                        _heappush(env._queue,
-                                  (env._now + costs.local_steal_attempt,
-                                   env._seq, self._h))
-                        return
-                    if self.idle:
-                        self._park_failed_round()
-                    else:
-                        self._resolve(SCAN_MISS)
+        try:
+            phase = self.phase
+            costs = self.costs
+            worker = self.worker
+            env = self.env
+            if phase == 1:
+                # A co-located probe fired: attempt the steal it paid for.
+                worker.overhead_cycles += costs.local_steal_attempt
+                task = self.peers[self.order[self.idx]].deque.steal()
+                if task is not None:
+                    self.task = task
+                    self.phase = 2
+                    env._seq += 1
+                    env._arm[self._h] = env._seq
+                    _heappush(env._queue,
+                              (env._now + costs.local_steal_success,
+                               env._seq, self._h))
                     return
-                self.st.mailbox_hits += 1
+                idx = self.idx + 1
+                if idx < len(self.order):
+                    self.idx = idx
+                    self.st.local_attempts += 1
+                    if self.obs is not None:
+                        self._emit_attempt()
+                    env._seq += 1
+                    env._arm[self._h] = env._seq
+                    _heappush(env._queue,
+                              (env._now + costs.local_steal_attempt,
+                               env._seq, self._h))
+                    return
+                self._local_miss()
+            elif phase == 0:
+                worker.overhead_cycles += costs.private_deque_op
+                task = self.deque_pop()
+                if task is None:
+                    task = self.mailbox_get()
+                    if task is None:
+                        peers = self.peers
+                        if peers is None:
+                            peers = worker.steal_peers
+                            if peers is None:
+                                peers = worker.steal_peers = [
+                                    w for w in worker.place.workers
+                                    if w is not worker]
+                            self.peers = peers
+                        orders = worker.victim_orders
+                        if orders is None:
+                            orders = worker.victim_orders = \
+                                self.rt.rngs.permutations(
+                                    len(peers), "victims", *worker.wid)
+                        order = orders.draw()
+                        if order:
+                            self.order = order
+                            self.idx = 0
+                            self.st.local_attempts += 1
+                            if self.obs is not None:
+                                self._emit_attempt()
+                            self.phase = 1
+                            env._seq += 1
+                            env._arm[self._h] = env._seq
+                            _heappush(env._queue,
+                                      (env._now + costs.local_steal_attempt,
+                                       env._seq, self._h))
+                            return
+                        self._local_miss()
+                        return
+                    self.st.mailbox_hits += 1
+                    if self.obs is not None:
+                        self.obs.emit("mailbox_get",
+                                      place=worker.place.place_id,
+                                      worker=worker.worker_index,
+                                      task=task.task_id)
+                self._run(task)
+            elif phase == 5:
+                # The running task's work stall fired.
+                task = self.task
+                self.task = None
+                worker._finish_task(task)
+                # The loop top: exit at termination, else the next round.
+                if self.gate.is_open:
+                    self._resolve(None)
+                else:
+                    self._open_round()
+            elif phase == 2:
+                # The steal-success stall fired; run the stolen task.
+                worker.overhead_cycles += costs.local_steal_success
+                self.st.local_hits += 1
                 if self.obs is not None:
-                    self.obs.emit("mailbox_get",
+                    victim = self.peers[self.order[self.idx]]
+                    self.obs.emit("steal_hit", tier="local",
                                   place=worker.place.place_id,
                                   worker=worker.worker_index,
-                                  task=task.task_id)
-            self._resolve(task)
-        elif phase == 2:
-            # The steal-success stall fired; settle the task.
-            worker.overhead_cycles += costs.local_steal_success
-            self.st.local_hits += 1
-            if self.obs is not None:
-                victim = self.peers[self.order[self.idx]]
-                self.obs.emit("steal_hit", tier="local",
-                              place=worker.place.place_id,
-                              worker=worker.worker_index,
-                              victim=victim.worker_index, tasks=1)
-            task = self.task
-            self.task = None
-            self._resolve(task)
-        else:
-            # Phase 3 (idle mode): a collapsed round's end stall fired —
-            # the legacy generator would now run the failed-round path.
-            self._park_failed_round()
+                                  victim=victim.worker_index, tasks=1)
+                task = self.task
+                self.task = None
+                self._run(task)
+            elif phase == 4:
+                # The shared-deque-op stall fired with the lock held.
+                worker.overhead_cycles += costs.shared_deque_op
+                shared = self.shared
+                task = shared.take_oldest(remote=False)
+                if not shared._items:
+                    self.rt.board.retract(shared.place_id)
+                shared.lock.release()
+                if task is None:
+                    self._tail_or_park()
+                    return
+                self.st.shared_local_hits += 1
+                if self.obs is not None:
+                    place_id = worker.place.place_id
+                    self.obs.emit("steal_hit", tier="shared", place=place_id,
+                                  worker=worker.worker_index,
+                                  victim=place_id, tasks=1)
+                self._run(task)
+            else:
+                # Phase 3: a collapsed round's end stall fired — the
+                # legacy generator would now run the failed-round path.
+                self.worker._park_failed_round(self.park, self.board)
+        except Exception as exc:
+            proc = self.proc
+            proc._waiting_on = None
+            proc._step_throw(exc)
 
     def _emit_attempt(self) -> None:
         """``steal_attempt`` for the probe being armed (observed runs)."""
@@ -220,79 +274,81 @@ class _StealScan(KernelRound):
                       worker=worker.worker_index,
                       victim=self.peers[self.order[self.idx]].worker_index)
 
-    # -- kernel-resident idle loop (tail-less schedulers) ---------------------
-    def begin_idle(self) -> "_StealScan":
-        """Open a round in idle mode; yield ``self`` afterwards.
+    def _local_miss(self) -> None:
+        """Tiers 0-1 missed: lock the shared deque for tier 2, if any."""
+        shared = self.shared
+        if shared is None:
+            self._tail_or_park()
+            return
+        self.st.shared_local_attempts += 1
+        if self.obs is not None:
+            worker = self.worker
+            place_id = worker.place.place_id
+            self.obs.emit("steal_attempt", tier="shared", place=place_id,
+                          worker=worker.worker_index, victim=place_id)
+        shared.lock.acquire().callbacks.append(self._lock_cb)
 
-        Mirrors the legacy loop top: a collapsible round (every tier
-        provably empty, heap quiescent) arms one stall at the round's end
-        — the seq the legacy ``sleep_at`` consumed — otherwise the
-        ordinary scan opens with the deque-op stall.
-        """
+    def _locked(self, _event) -> None:
+        """The shared-deque lock is ours: arm the deque-op stall."""
+        self.phase = 4
+        env = self.env
+        env._seq += 1
+        env._arm[self._h] = env._seq
+        _heappush(env._queue,
+                  (env._now + self.costs.shared_deque_op, env._seq, self._h))
+
+    def _tail_or_park(self) -> None:
+        """Every local tier missed: hand over to the tail, or park."""
+        if self.has_tail:
+            self._resolve(SCAN_MISS)
+        else:
+            self.worker._park_failed_round(self.park, self.board)
+
+    def _run(self, task: Task) -> None:
+        """Start ``task`` and arm its work stall (phase 5)."""
+        worker = self.worker
+        worker._backoff = self.rt.idle_backoff_base
+        cost = worker._start_task(task)
+        self.task = task
+        self.phase = 5
+        env = self.env
+        env._seq += 1
+        env._arm[self._h] = env._seq
+        _heappush(env._queue, (env._now + cost, env._seq, self._h))
+
+    # -- round boundaries ----------------------------------------------------
+    def _open_round(self) -> None:
+        """A collapsible round arms one stall at the round's end — the seq
+        the legacy ``sleep_at`` consumed — otherwise the ordinary round
+        opens with the deque-op stall."""
+        env = self.env
         fr = self.fast_round
         if fr is not None:
             due = fr(self.worker)
             if due is not None:
                 self.phase = 3
-                env = self.env
-                env._seq += 1
-                env._arm[self._h] = env._seq
-                _heappush(env._queue, (due, env._seq, self._h))
-                return self
-        return self.begin()
-
-    def _park_failed_round(self) -> None:
-        """Failed-round bookkeeping + park, in the legacy generator's order."""
-        worker = self.worker
-        place = worker.place
-        rt = worker.runtime
-        place.note_failed_steal()
-        rt.scheduler.note_failed_round(worker)
-        self.st.failed_rounds += 1
-        if self.obs is not None:
-            self.obs.emit("worker_park", place=place.place_id,
-                          worker=worker.worker_index,
-                          backoff=worker._backoff)
-        park = self.park
-        gate = self.gate
-        park.begin(worker._backoff, gate.is_open)
-        if not self.gate_registered:
-            gate.register_park(park)
-            self.gate_registered = True
-        place.add_park_waiter(park)
-        if self.board is not None:
-            self.board.add_park_waiter(park)
-        worker._backoff = min(worker._backoff * 2, rt.idle_backoff_cap)
-
-    def on_wake(self, cause) -> None:
-        """The park's wake hop landed: restart the round in the kernel.
-
-        Replicates the legacy resume — backoff reset on a work wake, the
-        loop-top gate check (resolving ``None`` hands the generator its
-        exit), then the next round's fast-path probe or opening stall.
-        """
-        worker = self.worker
-        if cause is CAUSE_WORK:
-            worker._backoff = worker.runtime.idle_backoff_base
-        if self.gate.is_open:
-            self._resolve(None)
-            return
-        fr = self.fast_round
-        if fr is not None:
-            due = fr(worker)
-            if due is not None:
-                self.phase = 3
-                env = self.env
                 env._seq += 1
                 env._arm[self._h] = env._seq
                 _heappush(env._queue, (due, env._seq, self._h))
                 return
         self.phase = 0
-        env = self.env
         env._seq += 1
         env._arm[self._h] = env._seq
         _heappush(env._queue,
                   (env._now + self.costs.private_deque_op, env._seq, self._h))
+
+    def on_wake(self, cause) -> None:
+        """The park's wake hop landed: restart the round in the kernel.
+
+        Replicates the legacy resume — backoff reset on a work wake, then
+        the loop top: exit at termination, else open the next round.
+        """
+        if cause is CAUSE_WORK:
+            self.worker._backoff = self.rt.idle_backoff_base
+        if self.gate.is_open:
+            self._resolve(None)
+        else:
+            self._open_round()
 
 
 class Worker:
@@ -309,9 +365,11 @@ class Worker:
         self._executing = False
         # A fresh worker is idle with an empty deque: one spare slot.
         place._n_spare += 1
-        #: Task currently in :meth:`execute`.  The fault injector reads
-        #: this to find in-flight work at a crash; the runtime reads it
-        #: to attribute spawn parentage for the observability layer.
+        #: Task currently executing (between :meth:`_start_task` and
+        #: :meth:`_finish_task`, or in the crash-safe path).  The fault
+        #: injector reads this to find in-flight work at a crash; the
+        #: runtime reads it to attribute spawn parentage for the
+        #: observability layer.
         self.current_task: Task | None = None
         #: Stolen chunk in transit to this worker's place: populated from
         #: the instant the tasks leave the victim's shared deque until
@@ -325,6 +383,9 @@ class Worker:
         self.overhead_cycles = 0.0
         self.tasks_run = 0
         self._backoff = runtime.idle_backoff_base
+        #: Whether this worker's park is registered with the termination
+        #: gate (done once, at its first failed round).
+        self._park_registered = False
         #: Steal-tier caches (scheduler-owned, lazily filled): the victim
         #: draw sources are keyed by this worker's id and the peer/place
         #: lists are structurally constant, so re-deriving them on every
@@ -346,8 +407,8 @@ class Worker:
         """Whether an activity is currently running on this worker.
 
         A property so the place's O(1) spare-worker counter stays in sync
-        no matter who flips the flag (the execute paths here, or tests
-        poking it directly).
+        when tests poke the flag directly; the execute halves flip it
+        with the same bookkeeping inlined.
         """
         return self._executing
 
@@ -395,13 +456,6 @@ class Worker:
         place = self.place
         gate = rt.done_gate
         scheduler = rt.scheduler
-        steal_stats = rt.stats.steals
-        # Hot-loop locals: these lookups are loop-invariant, and the
-        # per-round deque-op stall is by far the most common sleep.
-        sleep = env.sleep
-        deque_pop = self.deque.pop
-        find_work = scheduler.find_work
-        deque_op = costs.private_deque_op
         # Collapsed probe round (flat kernel only): when every steal tier
         # is provably empty and no other heap entry comes due before the
         # round would end, the scheduler commits the round's counters and
@@ -417,52 +471,45 @@ class Worker:
                 and rt.faults is None and rt.obs is None):
             fast_round = scheduler.fast_round
             sleep_at = env.sleep_at
-        # Kernel-resident steal scan (flat kernel only): the universal
-        # find_work prefix — deque-op stall, own pop, mailbox probe,
-        # co-located scan — runs from the dispatch loop without resuming
-        # this generator per probe, emitting the prefix's bus events
-        # itself when observed.  Only sound when the scheduler uses the
-        # stock find_work (an override may reorder the tiers), and fault
-        # plans act at the per-probe resumes, so either one falls back to
-        # the generator path.
-        scan = None
-        find_work_tail = None
-        if _engine.KERNEL == "flat" and rt.faults is None:
-            from repro.sched.base import Scheduler as _SchedulerBase
-            if type(scheduler).find_work is _SchedulerBase.find_work:
-                scan = _StealScan(env, self.proc, self)
-                find_work_tail = scheduler.find_work_tail
         # One reusable park replaces the per-round AnyOf garbage; the
         # board a parking worker watches is fixed per policy.
         park = ParkRecord(env, self.proc)
         board = scheduler.park_board()
-        gate_registered = False
-        if scan is not None and find_work_tail is None:
-            # No policy tier past the co-located scan: the whole idle
-            # cycle — round, failed-round bookkeeping, park, wake — runs
-            # kernel-resident.  The generator resumes per *task*, not per
-            # round: with a task in hand, or with None at termination.
-            scan.attach_idle(park, board, gate, fast_round)
-            while not gate.is_open:
-                if place.dead:
+        # Kernel-resident hot cycle (flat kernel only): the local tiers,
+        # task execution, failed rounds and parks all run from the
+        # dispatch loop (_StealScan); this generator resumes only to run
+        # the policy's remote tail and to exit.  Only sound when the
+        # scheduler uses the stock find_work (an override may reorder the
+        # tiers), and fault plans act at the per-probe resumes, so either
+        # one falls back to the generator path below.
+        if _engine.KERNEL == "flat" and rt.faults is None:
+            from repro.sched.base import Scheduler as _SchedulerBase
+            if type(scheduler).find_work is _SchedulerBase.find_work:
+                tail = scheduler.find_work_tail
+                scan = _StealScan(env, self.proc, self, park, board, gate,
+                                  fast_round, tail is not None)
+                if gate.is_open:
                     return
-                task = yield scan.begin_idle()
-                if task is None:
-                    continue
-                self._backoff = rt.idle_backoff_base
-                yield from self.execute(task)
-            return
+                outcome = yield scan.open()
+                while outcome is SCAN_MISS:
+                    task = yield from tail(self)
+                    if task is None:
+                        outcome = yield scan.park_failed()
+                    else:
+                        outcome = yield scan.run(task)
+                return
+        # Hot-loop locals: these lookups are loop-invariant, and the
+        # per-round deque-op stall is by far the most common sleep.
+        sleep = env.sleep
+        deque_pop = self.deque.pop
+        find_work = scheduler.find_work
+        deque_op = costs.private_deque_op
         while not gate.is_open:
             if place.dead:
                 return
             if fast_round is not None and (due := fast_round(self)) is not None:
                 yield sleep_at(due)
                 task = None
-            elif scan is not None:
-                task = yield scan.begin()
-                if task is SCAN_MISS:
-                    task = None if find_work_tail is None \
-                        else (yield from find_work_tail(self))
             else:
                 yield sleep(deque_op)
                 self.overhead_cycles += deque_op
@@ -474,71 +521,97 @@ class Worker:
                 yield from self.execute(task)
                 continue
             # Nothing anywhere: failed round, then back off.
-            place.note_failed_steal()
-            scheduler.note_failed_round(self)
-            steal_stats.failed_rounds += 1
-            if rt.obs is not None:
-                rt.obs.emit("worker_park", place=place.place_id,
-                            worker=self.worker_index,
-                            backoff=self._backoff)
-            park.begin(self._backoff, gate.is_open)
-            if not gate_registered:
-                # The gate fires at most once (termination), so the park
-                # registers exactly once — no per-round waiter leak.
-                gate.register_park(park)
-                gate_registered = True
-            place.add_park_waiter(park)
-            if board is not None:
-                board.add_park_waiter(park)
-            # Backoff is read by the runtime's idle parameters live:
-            # online controllers may retune base/cap mid-run.
-            self._backoff = min(self._backoff * 2, rt.idle_backoff_cap)
+            self._park_failed_round(park, board)
             cause = yield park
             if cause is CAUSE_WORK:
                 # Work arrived at this place: search eagerly again.
                 self._backoff = rt.idle_backoff_base
 
+    def _park_failed_round(self, park: ParkRecord, board) -> None:
+        """Failed-round bookkeeping, then arm ``park`` with the backoff.
+
+        Shared by the generator loop and the kernel-resident scan; the
+        caller waits on the park (or, in the scan, owns its wake).
+        """
+        rt = self.runtime
+        place = self.place
+        gate = rt.done_gate
+        place.note_failed_steal()
+        rt.scheduler.note_failed_round(self)
+        rt.stats.steals.failed_rounds += 1
+        if rt.obs is not None:
+            rt.obs.emit("worker_park", place=place.place_id,
+                        worker=self.worker_index, backoff=self._backoff)
+        park.begin(self._backoff, gate.is_open)
+        if not self._park_registered:
+            # The gate fires at most once (termination), so the park
+            # registers exactly once — no per-round waiter leak.
+            gate.register_park(park)
+            self._park_registered = True
+        place.add_park_waiter(park)
+        if board is not None:
+            board.add_park_waiter(park)
+        # Backoff is read by the runtime's idle parameters live: online
+        # controllers may retune base/cap mid-run.
+        self._backoff = min(self._backoff * 2, rt.idle_backoff_cap)
+
     # -- execution -------------------------------------------------------------
     def execute(self, task: Task) -> Generator[Event, object, None]:
         """Run one activity to completion in simulated time.
 
-        When a fault plan includes crashes, execution defers the *commit*
-        (running the real body and spawning children) until after the
-        work stall, so a fail-stop crash mid-task loses the task cleanly
-        — no real side effects, re-executable exactly once.  The default
-        path below is untouched when no injector is attached.
+        The generator-path form of the two halves the kernel-resident
+        scan runs around its own armed stall.  When a fault plan includes
+        crashes, execution defers the *commit* (running the real body and
+        spawning children) until after the work stall, so a fail-stop
+        crash mid-task loses the task cleanly — no real side effects,
+        re-executable exactly once.
         """
-        rt = self.runtime
-        faults = rt.faults
+        faults = self.runtime.faults
         if faults is not None and faults.crash_safe:
             yield from self._execute_crash_safe(task)
             return
-        env = rt.env
-        costs = rt.costs
+        yield self.runtime.env.sleep(self._start_task(task))
+        self._finish_task(task)
+
+    def _start_task(self, task: Task) -> float:
+        """Everything before an activity's work stall; returns its cycles.
+
+        Marks the task running (after the locality guard), runs its real
+        body, prices its memory behaviour and spawns its children.  If
+        the body raises, the worker's running state is unwound first.
+        """
+        rt = self.runtime
         place = self.place
+        place_id = place.place_id
         task.state = TaskState.RUNNING
-        task.exec_place = place.place_id
+        task.exec_place = place_id
         task.exec_worker = self.worker_index
-        if (rt.scheduler.enforces_locality and not task.is_flexible
-                and task.exec_place != task.home_place):
+        remote = place_id != task.home_place
+        if (remote and rt.scheduler.enforces_locality
+                and not task.is_flexible):
             from repro.errors import SchedulerError
             raise SchedulerError(
                 f"locality violation: sensitive task {task.task_id} "
                 f"(home p{task.home_place}) executing at "
-                f"p{task.exec_place} under {rt.scheduler.name}")
-        task.start_time = env.now
+                f"p{place_id} under {rt.scheduler.name}")
+        task.start_time = rt.env._now
         place.running_activities += 1
         place.note_assignment()
-        self.executing = True
+        # The ``executing`` setter, inlined (this runs once per task): the
+        # worker was idle, and with an empty deque it stops being spare.
+        self._executing = True
+        if not self.deque._items:
+            place._n_spare -= 1
         self.current_task = task
         if rt.obs is not None:
             rt.obs.emit("task_start", task=task.task_id,
-                        place=place.place_id, worker=self.worker_index)
+                        place=place_id, worker=self.worker_index)
         try:
             cost = task.work
+            faults = rt.faults
             if faults is not None:
-                cost *= faults.slow_factor(place.place_id)
-            remote = task.exec_place != task.home_place
+                cost *= faults.slow_factor(place_id)
+            memory = rt.memory
             # An encapsulating task (§II condition d) carried its data in
             # the closure: the blocks it touches become persistent local
             # replicas, paid for once — wherever the task runs (a bucket
@@ -547,40 +620,55 @@ class Worker:
             # in :meth:`MemoryManager.access`.
             if task.encapsulates:
                 for block in task.unique_blocks():
-                    cost += rt.memory.migrate(block, place.place_id,
-                                              warm_cache=self.cache)
+                    cost += memory.migrate(block, place_id,
+                                           warm_cache=self.cache)
             # Run the real body; children are collected, not yet mapped.
-            ctx = TaskContext(rt, task, place.place_id, self.worker_index)
+            ctx = TaskContext(rt, task, place_id, self.worker_index)
             if task.body is not None:
                 task.body(ctx)
             children = ctx.drain_children()
             # Price every declared memory access at the executing place.
             for block in task.reads:
-                cost += rt.memory.access(place.place_id, self.cache, block)
+                cost += memory.access(place_id, self.cache, block)
             for block in task.writes:
-                cost += rt.memory.access(place.place_id, self.cache, block,
-                                         write=True)
-            # Help-first: children become available as the parent continues.
-            for child in children:
-                cost += costs.spawn_overhead
-                cost += rt.scheduler.mapping_cost(child)
-                rt.spawn(child, from_place=place.place_id,
-                         finish=task.finish, from_worker=self)
+                cost += memory.access(place_id, self.cache, block,
+                                      write=True)
+            # Help-first: children become available as the parent
+            # continues, each priced by the mapping that placed it.
+            if children:
+                spawn = rt.spawn
+                spawn_overhead = rt.costs.spawn_overhead
+                finish = task.finish
+                for child in children:
+                    cost = cost + spawn_overhead + spawn(
+                        child, place_id, finish, self)
             # Results that must explicitly travel back after a remote
             # execution (e.g. the Turing-ring inner population update).
             if remote:
                 for block in task.copy_back:
-                    cost += rt.memory.copy_back(block, place.place_id)
-            yield env.sleep(cost)
-        finally:
-            self.executing = False
-            self.current_task = None
-            place.running_activities -= 1
+                    cost += memory.copy_back(block, place_id)
+        except BaseException:
+            self._end_activity()
+            raise
+        return cost
+
+    def _end_activity(self) -> None:
+        """Clear the running state :meth:`_start_task` set."""
+        place = self.place
+        self._executing = False
+        if not self.deque._items:
+            place._n_spare += 1
+        self.current_task = None
+        place.running_activities -= 1
+
+    def _finish_task(self, task: Task) -> None:
+        """Everything after an activity's work stall."""
+        self._end_activity()
         task.state = TaskState.DONE
-        task.end_time = env.now
-        self.task_cycles += env.now - task.start_time
+        now = task.end_time = self.runtime.env._now
+        self.task_cycles += now - task.start_time
         self.tasks_run += 1
-        rt.task_finished(task, self)
+        self.runtime.task_finished(task, self)
 
     def _execute_crash_safe(self, task: Task) -> Generator[Event, object, None]:
         """Deferred-commit execution for runs with planned crashes.
@@ -638,10 +726,10 @@ class Worker:
             task.committed = True
             post = 0.0
             for child in children:
-                post += costs.spawn_overhead
-                post += rt.scheduler.mapping_cost(child)
-                rt.spawn(child, from_place=place.place_id,
-                         finish=task.finish, from_worker=self)
+                # Priced by the mapping that placed the child — at its
+                # final home, should the injector have re-homed it.
+                post = post + costs.spawn_overhead + rt.spawn(
+                    child, place.place_id, task.finish, self)
             if remote:
                 for block in task.copy_back:
                     post += rt.memory.copy_back(block, place.place_id)

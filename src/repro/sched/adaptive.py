@@ -63,28 +63,20 @@ class AdaptiveDistWS(DistWS):
             return False
         return True
 
-    def map_task(self, task: Task, from_worker=None) -> None:
-        place = self.rt.places[task.home_place]
+    def map_task(self, task: Task, from_worker=None) -> float:
+        rt = self._bound_runtime()
+        # Every task pays for its classification plus the deque operation
+        # it ends up taking.
+        base = rt.costs.locality_mapping_overhead
         if not self.classify_flexible(task):
             self.classified_sensitive += 1
-            self._push_private(task, from_worker)
-            return
+            return base + self._push_private(task, from_worker)
         self.classified_flexible += 1
         # The runtime decided this task travels well: ship its data with
         # the closure if it is ever stolen.
         task.encapsulates = True
-        if self._keep_local(place):
-            place.pick_private_deque().push(task)
-        else:
-            self._push_shared(task)
-
-    def mapping_cost(self, task: Task) -> float:
-        rt = self._bound_runtime()
-        costs = rt.costs
-        base = costs.locality_mapping_overhead
-        if not self.classify_flexible(task):
-            return base + costs.private_deque_op
         place = rt.places[task.home_place]
         if self._keep_local(place):
-            return base + costs.private_deque_op
-        return base + costs.shared_deque_op
+            place.pick_private_deque().push(task)
+            return base + rt.costs.private_deque_op
+        return base + self._push_shared(task)

@@ -135,23 +135,29 @@ class Scheduler(ABC):
 
     # -- mapping -----------------------------------------------------------
     @abstractmethod
-    def map_task(self, task: Task, from_worker: "Worker | None" = None) -> None:
-        """Push ``task`` onto a deque at its home place.
+    def map_task(self, task: Task,
+                 from_worker: "Worker | None" = None) -> float:
+        """Push ``task`` onto a deque at its home place; return the cycles
+        the decision cost the spawning worker.
 
         ``from_worker`` is the spawning worker, when the spawn happens
         inside a running activity; help-first mapping pushes same-place
         children onto the spawner's own deque so peers must *steal* them.
+        The price describes the deque operation actually taken, so a
+        child the fault injector re-homed is priced at its final home.
+        Raises :class:`~repro.errors.SchedulerError` before :meth:`bind`.
         """
 
-    def mapping_cost(self, task: Task) -> float:
-        """Cycles the spawning worker pays to map one child task."""
-        return self._bound_runtime().costs.private_deque_op
+    def _push_shared(self, task: Task) -> float:
+        """Push onto the home place's shared deque and advertise surplus.
 
-    def _push_shared(self, task: Task) -> None:
-        """Push onto the home place's shared deque and advertise surplus."""
-        place = self.rt.places[task.home_place]
+        Returns the price of the shared-deque operation.
+        """
+        rt = self.rt
+        place = rt.places[task.home_place]
         place.shared.push(task)
-        self.rt.board.advertise(place.place_id)
+        rt.board.advertise(place.place_id)
+        return rt.costs.shared_deque_op
 
     def park_board(self) -> "object | None":
         """Status board a parking worker should watch, or ``None``.
@@ -175,35 +181,42 @@ class Scheduler(ABC):
     enforces_locality: bool = True
 
     def _push_private(self, task: Task,
-                      from_worker: "Worker | None" = None) -> None:
+                      from_worker: "Worker | None" = None) -> float:
         """Default private-deque placement (help-first).
 
         A locally spawned task goes onto the spawning worker's own deque;
         a task arriving from elsewhere (root spawn, cross-place async)
-        goes to the place's chosen private deque.
+        goes to the place's chosen private deque.  Returns the price of
+        the private-deque operation.
         """
-        place = self.rt.places[task.home_place]
+        rt = self.rt
         if (from_worker is not None
                 and from_worker.place.place_id == task.home_place):
             from_worker.deque.push(task)
         else:
-            place.pick_private_deque().push(task)
+            rt.places[task.home_place].pick_private_deque().push(task)
+        return rt.costs.private_deque_op
 
     # -- work finding ------------------------------------------------------------
-    #: Policy-specific continuation of :meth:`find_work` after the
-    #: universal tiers (mailbox probe, co-located steal) have missed: a
-    #: generator method, or ``None`` when the policy has no further tiers
-    #: (X10WS).  Keeping the universal prefix in one place is what lets
-    #: the flat kernel's :class:`~repro.sim.engine.KernelRound` scan
-    #: execute it without resuming the worker's generator per probe.
+    #: Whether :meth:`find_work` includes tier 2, the local shared-deque
+    #: take (every policy but X10WS, which has no shared deque traffic).
+    shared_tier: bool = True
+
+    #: Policy-specific continuation of :meth:`find_work` after the local
+    #: tiers (mailbox probe, co-located steal, shared deque) have missed —
+    #: the remote tier: a generator method, or ``None`` when the policy
+    #: has no further tiers (X10WS).  Keeping the local tiers in one place
+    #: is what lets the flat kernel's :class:`~repro.sim.engine.KernelRound`
+    #: scan execute them without resuming the worker's generator.
     find_work_tail = None
 
     def find_work(self, worker: "Worker") -> FindWork:
         """Acquire a task for an idle worker, consuming simulated time.
 
-        Tier 0 (home mailbox) and tier 1 (co-located private-deque steal)
-        are identical across every policy; what follows a tier-1 miss is
-        the policy's :attr:`find_work_tail`.  A policy that overrides
+        Tier 0 (home mailbox), tier 1 (co-located private-deque steal)
+        and tier 2 (local shared deque, when :attr:`shared_tier`) are
+        identical across every policy; what follows a tier-2 miss is the
+        policy's :attr:`find_work_tail`.  A policy that overrides
         ``find_work`` itself opts out of the kernel-resident scan (the
         worker checks ``type(scheduler).find_work`` identity).
         """
@@ -213,6 +226,10 @@ class Scheduler(ABC):
         task = yield from self._steal_colocated(worker)
         if task is not None:
             return task
+        if self.shared_tier:
+            task = yield from self._steal_local_shared(worker)
+            if task is not None:
+                return task
         tail = self.find_work_tail
         if tail is None:
             return None
@@ -631,8 +648,6 @@ class Scheduler(ABC):
     #: built-in policies opt in; a subclass with a custom ``find_work``
     #: keeps the legacy per-probe path unless it opts in itself.
     _fast_round_ok: bool = False
-    #: Whether ``find_work`` includes the local shared-deque tier.
-    _fast_shared_tier: bool = True
 
     def collapses_rounds(self) -> bool:
         """Whether :meth:`fast_round` may be used in this run at all.
@@ -693,7 +708,7 @@ class Scheduler(ABC):
         la = costs.local_steal_attempt
         for _ in range(n):
             t = t + la
-        shared_tier = self._fast_shared_tier
+        shared_tier = self.shared_tier
         if shared_tier:
             t = t + costs.shared_deque_op
         if env.peek() <= t:

@@ -74,37 +74,28 @@ class DistWS(Scheduler):
         return place.is_under_utilized()
 
     # -- mapping (Algorithm 1 lines 1-8) ------------------------------------
-    def map_task(self, task: Task, from_worker=None) -> None:
-        place = self.rt.places[task.home_place]
+    def map_task(self, task: Task, from_worker=None) -> float:
+        rt = self._bound_runtime()
         if not task.is_flexible:
-            self._push_private(task, from_worker)
-            return
+            return self._push_private(task, from_worker)
+        # A flexible task pays for consulting the place-status object
+        # plus the deque operation it ends up taking.
+        costs = rt.costs
+        place = rt.places[task.home_place]
         if self._keep_local(place):
             # Idle/under-utilized place: keep the flexible task local to
             # prioritize the place's own cores (§V-B1 benefit i/ii).
             # pick_private_deque prefers an *idle* worker, eliminating the
             # steal that worker would otherwise need.
             place.pick_private_deque().push(task)
+            return costs.locality_mapping_overhead + costs.private_deque_op
+        if not self.shared_fifo:
+            # LIFO-shared ablation: push at the steal end instead.
+            place.shared.push_front(task)
+            rt.board.advertise(place.place_id)
         else:
-            if not self.shared_fifo:
-                # LIFO-shared ablation: push at the steal end instead.
-                place.shared.push_front(task)
-                self.rt.board.advertise(place.place_id)
-            else:
-                self._push_shared(task)
-
-    def mapping_cost(self, task: Task) -> float:
-        rt = self._bound_runtime()
-        costs = rt.costs
-        if not task.is_flexible:
-            return costs.private_deque_op
-        # Consulting the place-status object plus the (possibly shared)
-        # deque operation.
-        place = rt.places[task.home_place]
-        base = costs.locality_mapping_overhead
-        if self._keep_local(place):
-            return base + costs.private_deque_op
-        return base + costs.shared_deque_op
+            self._push_shared(task)
+        return costs.locality_mapping_overhead + costs.shared_deque_op
 
     def _fast_remote_commit(self, worker: "Worker") -> None:
         # ``nearest`` victim order is deterministic (footnote 2's
@@ -113,12 +104,10 @@ class DistWS(Scheduler):
                 and self.victim_order != "nearest"):
             self._random_place_order(worker)
 
-    # -- work finding (Algorithm 1 lines 9-29; tiers 0-1 live in the base
-    # find_work, this is everything after a co-located miss) --------------------
+    # -- work finding (Algorithm 1 lines 9-29; tiers 0-2 live in the base
+    # find_work, this is the distributed tier after a local miss) ----------
     def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
+        task = None
         if self.rt.spec.n_places > 1:
             if self.victim_order == "nearest":
                 order = self.rt.spec.neighbours_by_distance(

@@ -39,27 +39,17 @@ class DistWSNS(Scheduler):
         super().__init__(**knobs)
         self._rr: Dict[int, int] = {}
 
-    def map_task(self, task: Task, from_worker=None) -> None:
-        place = self.rt.places[task.home_place]
-        turn = self._rr.get(place.place_id, 0)
-        self._rr[place.place_id] = turn + 1
+    def map_task(self, task: Task, from_worker=None) -> float:
+        self._bound_runtime()
+        home = task.home_place
+        turn = self._rr.get(home, 0)
+        self._rr[home] = turn + 1
         if turn % 2 == 0:
-            self._push_private(task, from_worker)
-        else:
-            self._push_shared(task)
-
-    def mapping_cost(self, task: Task) -> float:
-        rt = self._bound_runtime()
-        costs = rt.costs
-        turn = self._rr.get(rt.places[task.home_place].place_id, 0)
-        # Alternate the same way map_task will: even turns go private.
-        return (costs.private_deque_op if turn % 2 == 0
-                else costs.shared_deque_op)
+            return self._push_private(task, from_worker)
+        return self._push_shared(task)
 
     def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
+        task = None
         if self.rt.spec.n_places > 1:
             task = yield from self._steal_remote(
                 worker, self._random_place_order(worker))

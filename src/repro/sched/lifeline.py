@@ -76,9 +76,10 @@ class LifelineWS(DistWS):
         self._waiting_on = {p: set() for p in range(n)}
 
     # -- mapping + push -------------------------------------------------------
-    def map_task(self, task: Task, from_worker=None) -> None:
-        super().map_task(task, from_worker)
+    def map_task(self, task: Task, from_worker=None) -> float:
+        cost = super().map_task(task, from_worker)
         self._push_to_lifelines(task.home_place)
+        return cost
 
     def _push_to_lifelines(self, place_id: int) -> None:
         """Hand surplus shared-deque tasks to registered lifeliners."""
@@ -113,9 +114,6 @@ class LifelineWS(DistWS):
 
     # -- work finding ------------------------------------------------------------
     def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
         if self.rt.spec.n_places > 1:
             victims = self._random_victims(worker, "lifeline-victims",
                                            self.attempts_per_round)

@@ -96,9 +96,7 @@ class LocalizedWS(DistWS):
         return [neighbourhood[i] for i in orders.draw()]
 
     def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
+        task = None
         if self.rt.spec.n_places > 1:
             wid = worker.wid
             strikes = self._strikes.get(wid, 0)

@@ -52,9 +52,7 @@ class MultiStealWS(DistWS):
         return StealToken()
 
     def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
+        task = None
         if self.rt.spec.n_places > 1:
             if self.victim_order == "nearest":
                 order = self.rt.spec.neighbours_by_distance(

@@ -41,9 +41,7 @@ class RandomWS(DistWS):
         self.attempts_per_round = attempts_per_round
 
     def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
+        task = None
         if self.rt.spec.n_places > 1:
             victims = self._random_victims(worker, "random-victims",
                                            self.attempts_per_round)

@@ -29,14 +29,15 @@ class X10WS(Scheduler):
     #: Collapsed-round fast path: the shape is mailbox probe + co-located
     #: scan only — no shared-deque tier, no remote tier.
     _fast_round_ok = True
-    _fast_shared_tier = False
 
-    def map_task(self, task: Task, from_worker=None) -> None:
-        self._push_private(task, from_worker)
+    def map_task(self, task: Task, from_worker=None) -> float:
+        self._bound_runtime()
+        return self._push_private(task, from_worker)
 
     # Work finding is the base prefix and nothing else: mailbox probe
     # (remote asyncs still have to arrive somehow — X10 delivers the
     # shipped activity at its destination place, and the mailbox models
     # that delivery path even though X10WS never steals through it) plus
     # the co-located steal.  No shared-deque tier, no remote tier.
+    shared_tier = False
     find_work_tail = None

@@ -69,15 +69,24 @@ def test_scan_and_generator_rounds_emit_identically(app_name, sched_name):
 def test_streams_exercise_the_scan_events():
     """The identity above is not vacuous: the scan's kinds all occur.
 
-    DistWS ships chunks to the mailbox; X10WS parks from the scan's
-    kernel-resident idle loop.
+    DistWS ships chunks to the mailbox and takes from the local shared
+    deque (tier 2); X10WS parks from the scan's kernel-resident idle
+    loop.  The task events come from the execute halves the scan runs
+    itself, spawns included.
     """
     kinds = set()
+    tiers = set()
     for sched_name in ("DistWS", "X10WS"):
         jsonl, _, _ = observed("uts", SCHEDULERS[sched_name])
-        kinds.update(json.loads(line)["kind"] for line in jsonl.splitlines())
+        for line in jsonl.splitlines():
+            event = json.loads(line)
+            kinds.add(event["kind"])
+            if "tier" in event:
+                tiers.add((event["kind"], event["tier"]))
     assert {"mailbox_get", "steal_attempt", "steal_hit", "worker_park",
-            "sample"} <= kinds
+            "sample", "task_start", "task_end", "task_spawn"} <= kinds
+    assert {("steal_attempt", "local"), ("steal_hit", "local"),
+            ("steal_attempt", "shared"), ("steal_hit", "shared")} <= tiers
 
 
 @pytest.mark.parametrize("sched_name", ["DistWS", "X10WS"])

@@ -66,10 +66,11 @@ class TestMapping:
         assert len(place.shared) == 0
 
     def test_mapping_cost_sensitive_cheaper_than_flexible(self):
+        """``map_task`` returns the price of its own decision."""
         rt = fresh_rt()
         costs = rt.costs
-        s = rt.scheduler.mapping_cost(Task(None, 0, locality=SENSITIVE))
-        f = rt.scheduler.mapping_cost(Task(None, 0, locality=FLEXIBLE))
+        s = rt.scheduler.map_task(Task(None, 0, locality=SENSITIVE))
+        f = rt.scheduler.map_task(Task(None, 0, locality=FLEXIBLE))
         assert s == costs.private_deque_op
         assert f >= costs.locality_mapping_overhead
 

@@ -63,8 +63,12 @@ class TestMappingProperties:
         for _ in range(4):
             rt.scheduler.map_task(Task(None, 0, locality=FLEXIBLE))
         assert len(place.shared) > 0
-        # With the place saturated the flexible mapping pays shared cost.
+        # With the place saturated the flexible mapping lands on the
+        # shared deque, and the price map_task returns is the shared cost.
         t = Task(None, 0, locality=FLEXIBLE)
-        quoted = rt.scheduler.mapping_cost(t)
-        assert quoted == pytest.approx(
+        shared_before = len(place.shared)
+        price = rt.scheduler.map_task(t)
+        assert len(place.shared) == shared_before + 1
+        assert place.shared._items[-1] is t
+        assert price == pytest.approx(
             costs.locality_mapping_overhead + costs.shared_deque_op)
