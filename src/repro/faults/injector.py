@@ -27,7 +27,7 @@ re-executed exactly once (tracked by the
 tasks follow the plan's :class:`SensitivePolicy`: ``fail`` raises
 :class:`~repro.errors.PlaceFailedError`, ``relax`` degrades them to
 flexible.  In-flight tasks whose effects already committed (see the
-worker's crash-safe deferred-commit execution) are counted as completed
+worker's deferred commit, ``Worker._commit_task``) are counted as completed
 at the crash instant rather than re-executed, preserving exactly-once
 semantics for real side effects.
 """

@@ -153,9 +153,15 @@ def run_spin_cell(cell: Dict, repeats: int = 3) -> Dict:
 
 
 def run_cell(cell: Dict, repeats: int = 3) -> Dict:
-    """Run one grid cell ``repeats`` times; report best wall + observables."""
+    """Run one grid cell ``repeats`` times; report best wall + observables.
+
+    A cell with a ``faults`` key (a fault plan spec with absolute times)
+    runs under that plan and reports its ``faults`` snapshot among the
+    simulated observables.
+    """
     from repro import ClusterSpec, SimRuntime, make_scheduler
     from repro.apps import make_app
+    from repro.faults import FaultInjector, FaultPlan
     from repro.runtime.task import _reset_task_ids
 
     if cell["app"] == "kernelspin":
@@ -171,6 +177,8 @@ def run_cell(cell: Dict, repeats: int = 3) -> Dict:
                            max_threads=cell["workers"] + 4)
         rt = SimRuntime(spec, make_scheduler(cell["scheduler"]),
                         seed=cell.get("sched_seed", SCHED_SEED))
+        if cell.get("faults"):
+            FaultInjector(FaultPlan.parse(cell["faults"])).attach(rt)
         app = make_app(cell["app"], scale=cell["scale"],
                        seed=cell.get("app_seed", APP_SEED))
         t0 = time.perf_counter()
@@ -182,6 +190,8 @@ def run_cell(cell: Dict, repeats: int = 3) -> Dict:
             "tasks_executed": stats.tasks_executed,
             "total_steals": stats.steals.total_steals,
         }
+        if stats.faults is not None:
+            sim["faults"] = stats.faults.snapshot()
     best = min(walls)
     out: Dict[str, object] = {
         "cell": cell_key(cell),

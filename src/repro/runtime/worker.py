@@ -50,9 +50,10 @@ class _StealScan(KernelRound):
       and, for a policy with a shared tier, the local shared-deque take
       (tier 2);
     - the execution of the task a tier found — :meth:`Worker._start_task`,
-      the work stall, :meth:`Worker._finish_task` — and the opening of
-      the next round: the termination-gate check, then a collapsed round
-      or the deque-op stall;
+      the work stall, under a crash plan :meth:`Worker._commit_task` and
+      the post-commit stall, then :meth:`Worker._finish_task` — and the
+      opening of the next round: the termination-gate check, then a
+      collapsed round or the deque-op stall;
     - a failed round's bookkeeping and park; the park delivers its wake
       cause to :meth:`on_wake`, which opens the next round in place.
 
@@ -65,10 +66,13 @@ class _StealScan(KernelRound):
     Phases: 0 = the private-deque-op stall fired (pop own deque, probe
     the mailbox, open the co-located scan); 1 = one co-located probe
     fired (attempt the steal, advance or miss out); 2 = the
-    steal-success stall fired; 3 = a collapsed round's end stall fired
-    (park); 4 = the shared-deque-op stall fired, lock held (take the
-    oldest task); 5 = the running task's work stall fired (finish it,
-    open the next round).
+    steal-success stall fired (the stolen task waits on the worker's
+    ``pending_chunk``); 3 = a collapsed round's end stall fired (park);
+    4 = the shared-deque-op stall fired, lock held (take the oldest
+    task); 5 = the running task's work stall fired (finish it and open
+    the next round).  Under a crash plan phase 5 fires twice per task:
+    the work stall commits the task and arms the post-commit stall, and
+    that stall (``task.committed`` now set) finishes it.
 
     **Tier 2's lock.**  The take appends a bound callback to the
     ``SimLock.acquire()`` event exactly where ``Process._handle`` appends
@@ -82,6 +86,13 @@ class _StealScan(KernelRound):
     :meth:`run`, :meth:`park_failed`) let exceptions propagate normally:
     a running generator cannot be thrown into.
 
+    **Crashes.**  A place crash interrupts the worker while the scan is
+    its wait target: :meth:`cancel` detaches the scan the way
+    ``Process.interrupt`` detaches a generator (stale stall, abandoned
+    lock acquire, cancelled park), and :meth:`unwind`, called where the
+    ``Interrupt`` lands, releases a held tier-2 lock as the generator's
+    ``finally`` did.
+
     **Observation:** with an event bus attached the scan emits the
     events of the generator code it replaces — ``mailbox_get``,
     ``steal_attempt``/``steal_hit`` (tiers ``local`` and ``shared``) and
@@ -91,9 +102,9 @@ class _StealScan(KernelRound):
     """
 
     __slots__ = ("worker", "rt", "st", "costs", "phase", "order", "idx",
-                 "peers", "task", "mailbox_get", "deque_pop", "shared",
+                 "peers", "mailbox_get", "deque_pop", "shared", "deferred",
                  "has_tail", "park", "board", "gate", "fast_round", "obs",
-                 "_lock_cb")
+                 "_lock_cb", "_lock_ev")
 
     def __init__(self, env, proc, worker: "Worker", park, board, gate,
                  fast_round, has_tail: bool) -> None:
@@ -106,12 +117,13 @@ class _StealScan(KernelRound):
         self.order: list = []
         self.idx = 0
         self.peers: "list[Worker] | None" = None
-        self.task: Task | None = None
         self.mailbox_get = worker.place.mailbox.try_get
         self.deque_pop = worker.deque.pop
         #: The place's shared deque when the policy has tier 2.
         self.shared = worker.place.shared if rt.scheduler.shared_tier \
             else None
+        #: Deferred-commit execution (a crash plan is attached).
+        self.deferred = rt.faults is not None and rt.faults.crash_safe
         self.has_tail = has_tail
         self.park = park
         self.board = board
@@ -121,6 +133,9 @@ class _StealScan(KernelRound):
         #: fixed for the scan's lifetime); ``None`` when unobserved.
         self.obs = rt.obs
         self._lock_cb = self._locked
+        #: The tier-2 ``acquire()`` event from request to release: pending
+        #: while queued, processed while the lock is held, else ``None``.
+        self._lock_ev = None
         park.scan_owner = self
 
     # -- entry points the generator calls ----------------------------------
@@ -153,7 +168,7 @@ class _StealScan(KernelRound):
                 worker.overhead_cycles += costs.local_steal_attempt
                 task = self.peers[self.order[self.idx]].deque.steal()
                 if task is not None:
-                    self.task = task
+                    worker.pending_chunk = [task]
                     self.phase = 2
                     env._seq += 1
                     env._arm[self._h] = env._seq
@@ -218,8 +233,10 @@ class _StealScan(KernelRound):
                 self._run(task)
             elif phase == 5:
                 # The running task's work stall fired.
-                task = self.task
-                self.task = None
+                task = worker.current_task
+                if self.deferred and not task.committed:
+                    self._arm(worker._commit_task(task))
+                    return
                 worker._finish_task(task)
                 # The loop top: exit at termination, else the next round.
                 if self.gate.is_open:
@@ -236,8 +253,8 @@ class _StealScan(KernelRound):
                                   place=worker.place.place_id,
                                   worker=worker.worker_index,
                                   victim=victim.worker_index, tasks=1)
-                task = self.task
-                self.task = None
+                task = worker.pending_chunk[0]
+                worker.pending_chunk = []
                 self._run(task)
             elif phase == 4:
                 # The shared-deque-op stall fired with the lock held.
@@ -246,6 +263,7 @@ class _StealScan(KernelRound):
                 task = shared.take_oldest(remote=False)
                 if not shared._items:
                     self.rt.board.retract(shared.place_id)
+                self._lock_ev = None
                 shared.lock.release()
                 if task is None:
                     self._tail_or_park()
@@ -286,7 +304,8 @@ class _StealScan(KernelRound):
             place_id = worker.place.place_id
             self.obs.emit("steal_attempt", tier="shared", place=place_id,
                           worker=worker.worker_index, victim=place_id)
-        shared.lock.acquire().callbacks.append(self._lock_cb)
+        ev = self._lock_ev = shared.lock.acquire()
+        ev.callbacks.append(self._lock_cb)
 
     def _locked(self, _event) -> None:
         """The shared-deque lock is ours: arm the deque-op stall."""
@@ -309,7 +328,6 @@ class _StealScan(KernelRound):
         worker = self.worker
         worker._backoff = self.rt.idle_backoff_base
         cost = worker._start_task(task)
-        self.task = task
         self.phase = 5
         env = self.env
         env._seq += 1
@@ -350,6 +368,29 @@ class _StealScan(KernelRound):
         else:
             self._open_round()
 
+    # -- crash -----------------------------------------------------------------
+    def cancel(self) -> None:
+        """The worker was interrupted: detach from what the scan waits on.
+
+        What ``Process.interrupt`` does to a generator's wait target: the
+        armed stall goes stale, a queued tier-2 acquire is abandoned (the
+        lock skips it on release) and a pending park is cancelled.  An
+        idle park has no live entry, so cancelling it is a no-op.
+        """
+        super().cancel()
+        ev = self._lock_ev
+        if ev is not None and ev.callbacks is not None:
+            ev.callbacks.remove(self._lock_cb)
+            ev._abandoned = True
+            self._lock_ev = None
+        self.park.cancel()
+
+    def unwind(self) -> None:
+        """The ``Interrupt`` landed: release a held tier-2 lock."""
+        if self._lock_ev is not None:
+            self._lock_ev = None
+            self.shared.lock.release()
+
 
 class Worker:
     """One worker thread at a place."""
@@ -366,19 +407,21 @@ class Worker:
         # A fresh worker is idle with an empty deque: one spare slot.
         place._n_spare += 1
         #: Task currently executing (between :meth:`_start_task` and
-        #: :meth:`_finish_task`, or in the crash-safe path).  The fault
-        #: injector reads this to find in-flight work at a crash; the
-        #: runtime reads it to attribute spawn parentage for the
-        #: observability layer.
+        #: :meth:`_finish_task`).  The fault injector reads this to find
+        #: in-flight work at a crash; the runtime reads it to attribute
+        #: spawn parentage for the observability layer.
         self.current_task: Task | None = None
-        #: Stolen chunk in transit to this worker's place: populated from
-        #: the instant the tasks leave the victim's shared deque until
-        #: they land in the home mailbox / start executing.  The fault
-        #: injector drains it at a crash — these tasks are otherwise
-        #: invisible (neither queued nor anyone's ``current_task``).
+        #: Stolen tasks in transit to this worker: a remote chunk from the
+        #: instant it leaves the victim's shared deque until it lands in
+        #: the home mailbox / starts executing, and a co-located steal's
+        #: task for the steal-success stall.  The fault injector drains it
+        #: at a crash — these tasks are otherwise invisible (neither
+        #: queued nor anyone's ``current_task``).
         self.pending_chunk: list[Task] = []
         #: The simulated process running :meth:`run` (set by the runtime).
         self.proc = None
+        #: The kernel-resident hot cycle, when :meth:`_run_loop` takes it.
+        self.scan: _StealScan | None = None
         self.task_cycles = 0.0
         self.overhead_cycles = 0.0
         self.tasks_run = 0
@@ -440,11 +483,18 @@ class Worker:
         A fail-stop crash of this worker's place (fault injection)
         delivers an :class:`Interrupt`; the worker then stops permanently
         — its in-flight task has already been accounted for (re-executed
-        or committed) by the injector.
+        or committed) by the injector.  Where the interrupt lands, the
+        worker lets go of what it held, in the same dispatch as a
+        generator's ``finally`` blocks: a kernel-resident scan's tier-2
+        lock and the running task.
         """
         try:
             yield from self._run_loop()
         except Interrupt:
+            if self.scan is not None:
+                self.scan.unwind()
+            if self.current_task is not None:
+                self._end_activity()
             if self.place.dead:
                 return  # fail-stop: this worker never runs again
             raise
@@ -478,16 +528,18 @@ class Worker:
         # Kernel-resident hot cycle (flat kernel only): the local tiers,
         # task execution, failed rounds and parks all run from the
         # dispatch loop (_StealScan); this generator resumes only to run
-        # the policy's remote tail and to exit.  Only sound when the
-        # scheduler uses the stock find_work (an override may reorder the
-        # tiers), and fault plans act at the per-probe resumes, so either
-        # one falls back to the generator path below.
-        if _engine.KERNEL == "flat" and rt.faults is None:
+        # the policy's remote tail and to exit.  Fault plans included:
+        # the scan defers commits and unwinds at a crash as the generator
+        # does.  Only sound when the scheduler uses the stock find_work
+        # (an override may reorder the tiers); an override falls back to
+        # the generator path below.
+        if _engine.KERNEL == "flat":
             from repro.sched.base import Scheduler as _SchedulerBase
             if type(scheduler).find_work is _SchedulerBase.find_work:
                 tail = scheduler.find_work_tail
-                scan = _StealScan(env, self.proc, self, park, board, gate,
-                                  fast_round, tail is not None)
+                scan = self.scan = _StealScan(env, self.proc, self, park,
+                                              board, gate, fast_round,
+                                              tail is not None)
                 if gate.is_open:
                     return
                 outcome = yield scan.open()
@@ -559,26 +611,26 @@ class Worker:
     def execute(self, task: Task) -> Generator[Event, object, None]:
         """Run one activity to completion in simulated time.
 
-        The generator-path form of the two halves the kernel-resident
-        scan runs around its own armed stall.  When a fault plan includes
-        crashes, execution defers the *commit* (running the real body and
-        spawning children) until after the work stall, so a fail-stop
-        crash mid-task loses the task cleanly — no real side effects,
-        re-executable exactly once.
+        The generator-path form of the halves the kernel-resident scan
+        runs around its own armed stalls.  Under a crash plan the commit
+        (running the real body and spawning children) waits until after
+        the work stall, so a fail-stop crash mid-task loses the task
+        cleanly — no real side effects, re-executable exactly once.
         """
-        faults = self.runtime.faults
-        if faults is not None and faults.crash_safe:
-            yield from self._execute_crash_safe(task)
-            return
-        yield self.runtime.env.sleep(self._start_task(task))
+        rt = self.runtime
+        yield rt.env.sleep(self._start_task(task))
+        if rt.faults is not None and rt.faults.crash_safe:
+            yield rt.env.sleep(self._commit_task(task))
         self._finish_task(task)
 
     def _start_task(self, task: Task) -> float:
         """Everything before an activity's work stall; returns its cycles.
 
         Marks the task running (after the locality guard), runs its real
-        body, prices its memory behaviour and spawns its children.  If
-        the body raises, the worker's running state is unwound first.
+        body, prices its memory behaviour and spawns its children.  Under
+        a crash plan the body and the spawns are left to
+        :meth:`_commit_task`.  If the body raises, the worker's running
+        state is unwound first.
         """
         rt = self.runtime
         place = self.place
@@ -609,8 +661,10 @@ class Worker:
         try:
             cost = task.work
             faults = rt.faults
+            deferred = False
             if faults is not None:
                 cost *= faults.slow_factor(place_id)
+                deferred = faults.crash_safe
             memory = rt.memory
             # An encapsulating task (§II condition d) carried its data in
             # the closure: the blocks it touches become persistent local
@@ -622,17 +676,20 @@ class Worker:
                 for block in task.unique_blocks():
                     cost += memory.migrate(block, place_id,
                                            warm_cache=self.cache)
-            # Run the real body; children are collected, not yet mapped.
-            ctx = TaskContext(rt, task, place_id, self.worker_index)
-            if task.body is not None:
-                task.body(ctx)
-            children = ctx.drain_children()
+            if not deferred:
+                # Run the real body; children are collected, not mapped.
+                ctx = TaskContext(rt, task, place_id, self.worker_index)
+                if task.body is not None:
+                    task.body(ctx)
+                children = ctx.drain_children()
             # Price every declared memory access at the executing place.
             for block in task.reads:
                 cost += memory.access(place_id, self.cache, block)
             for block in task.writes:
                 cost += memory.access(place_id, self.cache, block,
                                       write=True)
+            if deferred:
+                return cost
             # Help-first: children become available as the parent
             # continues, each priced by the mapping that placed it.
             if children:
@@ -652,6 +709,38 @@ class Worker:
             raise
         return cost
 
+    def _commit_task(self, task: Task) -> float:
+        """The commit point of a deferred (crash-plan) execution.
+
+        Runs after the work stall: the real body runs, ``task.committed``
+        flips and the children are spawned; returns the post-commit
+        cycles (spawn and copy-back prices), stalled even when zero.  A
+        crash before the commit loses the task with no visible effect —
+        the fault injector re-executes it on a survivor; a crash after it
+        finds ``committed`` set and counts the task as done.  Memory
+        effects (migrations, cache warming) happen before the commit:
+        data movement, unlike computation results, survives a crash.
+        """
+        rt = self.runtime
+        place_id = self.place.place_id
+        try:
+            ctx = TaskContext(rt, task, place_id, self.worker_index)
+            if task.body is not None:
+                task.body(ctx)
+            children = ctx.drain_children()
+            task.committed = True
+            post = 0.0
+            for child in children:
+                post = post + rt.costs.spawn_overhead + rt.spawn(
+                    child, place_id, task.finish, self)
+            if place_id != task.home_place:
+                for block in task.copy_back:
+                    post += rt.memory.copy_back(block, place_id)
+        except BaseException:
+            self._end_activity()
+            raise
+        return post
+
     def _end_activity(self) -> None:
         """Clear the running state :meth:`_start_task` set."""
         place = self.place
@@ -669,77 +758,3 @@ class Worker:
         self.task_cycles += now - task.start_time
         self.tasks_run += 1
         self.runtime.task_finished(task, self)
-
-    def _execute_crash_safe(self, task: Task) -> Generator[Event, object, None]:
-        """Deferred-commit execution for runs with planned crashes.
-
-        The work stall happens *first*; the real body runs, children are
-        spawned, and ``task.committed`` flips only at the commit point.
-        An interrupt (place crash) before the commit leaves no visible
-        effects: the fault injector re-executes the task on a survivor.
-        An interrupt after it finds ``committed`` set and counts the task
-        as done instead.  Memory effects (migrations, cache warming) may
-        partially happen before the commit — data movement, unlike
-        computation results, survives a crash honestly.
-        """
-        rt = self.runtime
-        env = rt.env
-        costs = rt.costs
-        place = self.place
-        faults = rt.faults
-        task.state = TaskState.RUNNING
-        task.exec_place = place.place_id
-        task.exec_worker = self.worker_index
-        if (rt.scheduler.enforces_locality and not task.is_flexible
-                and task.exec_place != task.home_place):
-            from repro.errors import SchedulerError
-            raise SchedulerError(
-                f"locality violation: sensitive task {task.task_id} "
-                f"(home p{task.home_place}) executing at "
-                f"p{task.exec_place} under {rt.scheduler.name}")
-        task.start_time = env.now
-        place.running_activities += 1
-        place.note_assignment()
-        self.executing = True
-        self.current_task = task
-        if rt.obs is not None:
-            rt.obs.emit("task_start", task=task.task_id,
-                        place=place.place_id, worker=self.worker_index)
-        try:
-            cost = task.work * faults.slow_factor(place.place_id)
-            remote = task.exec_place != task.home_place
-            if task.encapsulates:
-                for block in task.unique_blocks():
-                    cost += rt.memory.migrate(block, place.place_id,
-                                              warm_cache=self.cache)
-            for block in task.reads:
-                cost += rt.memory.access(place.place_id, self.cache, block)
-            for block in task.writes:
-                cost += rt.memory.access(place.place_id, self.cache, block,
-                                         write=True)
-            yield env.sleep(cost)
-            # ---- commit point: effects become visible atomically ----
-            ctx = TaskContext(rt, task, place.place_id, self.worker_index)
-            if task.body is not None:
-                task.body(ctx)
-            children = ctx.drain_children()
-            task.committed = True
-            post = 0.0
-            for child in children:
-                # Priced by the mapping that placed the child — at its
-                # final home, should the injector have re-homed it.
-                post = post + costs.spawn_overhead + rt.spawn(
-                    child, place.place_id, task.finish, self)
-            if remote:
-                for block in task.copy_back:
-                    post += rt.memory.copy_back(block, place.place_id)
-            yield env.sleep(post)
-        finally:
-            self.executing = False
-            self.current_task = None
-            place.running_activities -= 1
-        task.state = TaskState.DONE
-        task.end_time = env.now
-        self.task_cycles += env.now - task.start_time
-        self.tasks_run += 1
-        rt.task_finished(task, self)

@@ -275,7 +275,11 @@ class Scheduler(ABC):
             worker.charge_overhead(rt.costs.local_steal_attempt)
             task = victim.deque.steal()
             if task is not None:
+                # In no deque for the steal-success stall: held where a
+                # crash of this place finds it (see ``pending_chunk``).
+                worker.pending_chunk = [task]
                 yield env.sleep(rt.costs.local_steal_success)
+                worker.pending_chunk = []
                 worker.charge_overhead(rt.costs.local_steal_success)
                 st.local_hits += 1
                 if obs is not None:
@@ -328,14 +332,13 @@ class Scheduler(ABC):
         """
         rt = self.rt
         home = worker.place
-        faulty = rt.faults is not None
         for pj in victim_order:
             if pj == home.place_id:
                 raise SchedulerError("remote steal targeting own place")
             task = self._probe_mailbox(worker)
             if task is not None:
                 return task
-            if faulty and self._victim_blacklisted(pj):
+            if self._victim_blacklist and self._victim_blacklisted(pj):
                 # Recently unresponsive (crashed or lossy): skip until the
                 # blacklist entry decays.
                 continue
@@ -343,11 +346,7 @@ class Scheduler(ABC):
                 # The §VI-B status object says the place has nothing to
                 # steal: skip it without spending a round trip.
                 continue
-            if faulty:
-                task = yield from self._attempt_remote_steal_faulty(
-                    worker, pj)
-            else:
-                task = yield from self._attempt_remote_steal(worker, pj)
+            task = yield from self._attempt_remote_steal(worker, pj)
             if task is not None:
                 return task
         return None
@@ -392,7 +391,7 @@ class Scheduler(ABC):
 
     def _attempt_remote_steal(self, worker: "Worker", pj: int,
                               cancel: Optional[StealToken] = None) -> FindWork:
-        """One distributed steal attempt on victim ``pj`` (reliable net)."""
+        """One distributed steal attempt on victim ``pj``."""
         got = yield from self._remote_take(worker, pj, cancel)
         if got is None:
             return None
@@ -403,95 +402,40 @@ class Scheduler(ABC):
 
     def _remote_take(self, worker: "Worker", pj: int,
                      cancel: Optional[StealToken] = None) -> FindWork:
-        """Request/lock/take phase of a reliable-network distributed steal.
+        """Request/lock/take phase of a distributed steal.
 
         Returns ``(chunk, request_time)`` on a hit, ``None`` on a miss or
         cancellation; shipping the chunk home is the caller's job, so
         multi-steal helpers can run several takes concurrently while the
-        thief itself performs the single ship.
+        thief itself performs the single ship.  The cancellation token is
+        re-checked before every (re)send, so a losing multi-steal helper
+        stops burning retries once a sibling has claimed work.
+
+        Under fault injection the request travels unreliably: a drop (or
+        a crashed victim) costs the thief a ``steal_timeout`` wait, then
+        a bounded number of retries with exponential backoff.  A victim
+        that stays unresponsive is blacklisted
+        (``victim_blacklist_cycles``, doubling per consecutive strike) so
+        subsequent rounds skip it until the entry decays; a successful
+        steal resets the strikes.  Without a fault plan every send is
+        delivered and the loop runs exactly once.
         """
         rt = self.rt
         env = rt.env
         costs = rt.costs
         st = rt.stats.steals
         obs = rt.obs
-        home = worker.place
-        victim = rt.places[pj]
-        st.remote_attempts += 1
-        request_time = env.now
-        if obs is not None:
-            obs.emit("steal_request", place=home.place_id,
-                     worker=worker.worker_index, victim=pj)
-        # Request message travels to the victim...
-        yield env.sleep(rt.network.send(
-            home.place_id, pj, 64, MSG_STEAL_REQUEST))
-        # ...the thief locks the victim's shared deque remotely...
-        yield victim.shared.lock.acquire()
-        try:
-            yield env.sleep(costs.remote_steal_service)
-            worker.charge_overhead(costs.remote_steal_service)
-            chunk, cancelled = self._take_locked(worker, victim, cancel)
-        finally:
-            victim.shared.lock.release()
-        if cancelled:
-            self._emit_cancel(worker, pj)
-            return None
-        if not chunk:
-            yield env.sleep(rt.network.send(
-                pj, home.place_id, 64, MSG_STEAL_REPLY))
-            if obs is not None:
-                obs.emit("steal_miss", place=home.place_id,
-                         worker=worker.worker_index, victim=pj)
-            self._note_steal_result(worker, False,
-                                    env.now - request_time, 0)
-            return None
-        return chunk, request_time
-
-    def _attempt_remote_steal_faulty(self, worker: "Worker", pj: int,
-                                     cancel: Optional[StealToken] = None,
-                                     ) -> FindWork:
-        """One distributed steal attempt under fault injection.
-
-        The request travels unreliably: a drop (or a crashed victim)
-        costs the thief a ``steal_timeout`` wait, then a bounded number
-        of retries with exponential backoff.  A victim that stays
-        unresponsive is blacklisted (``victim_blacklist_cycles``,
-        doubling per consecutive strike) so subsequent rounds skip it
-        until the entry decays; a successful steal resets the strikes.
-        """
-        got = yield from self._remote_take_faulty(worker, pj, cancel)
-        if got is None:
-            return None
-        chunk, request_time = got
-        task = yield from self._ship_chunk_home(worker, pj, chunk,
-                                                request_time=request_time)
-        return task
-
-    def _remote_take_faulty(self, worker: "Worker", pj: int,
-                            cancel: Optional[StealToken] = None) -> FindWork:
-        """Request/retry/take phase of a steal under fault injection.
-
-        Same contract as :meth:`_remote_take`; additionally re-checks the
-        cancellation token before every (re)send so a losing multi-steal
-        helper stops burning retries once a sibling has claimed work.
-        """
-        rt = self.rt
-        env = rt.env
-        costs = rt.costs
-        st = rt.stats.steals
-        obs = rt.obs
-        fstats = rt.faults.stats
+        faults = rt.faults
         home = worker.place
         victim = rt.places[pj]
         retries = 0
         backoff = costs.steal_retry_backoff
         request_time: Optional[float] = None
         while True:
-            if cancel is not None and (cancel.cancelled()
-                                       or worker.place.dead):
+            if cancel is not None and (cancel.cancelled() or home.dead):
                 self._emit_cancel(worker, pj)
                 return None
-            if rt.faults.is_dead(pj):
+            if faults is not None and faults.is_dead(pj):
                 self._blacklist_victim(pj)
                 if obs is not None and request_time is not None:
                     obs.emit("steal_miss", place=home.place_id,
@@ -507,6 +451,7 @@ class Scheduler(ABC):
             if obs is not None:
                 obs.emit("steal_request", place=home.place_id,
                          worker=worker.worker_index, victim=pj)
+            # Request message travels to the victim...
             latency, delivered = rt.network.send_unreliable(
                 home.place_id, pj, 64, MSG_STEAL_REQUEST)
             if delivered:
@@ -514,6 +459,7 @@ class Scheduler(ABC):
                 break
             # The request vanished (dropped en route, or the victim died
             # under it): wait out the timeout, then back off and retry.
+            fstats = faults.stats
             yield env.sleep(costs.steal_timeout)
             fstats.steal_timeouts += 1
             if retries >= self.steal_max_retries:
@@ -529,6 +475,7 @@ class Scheduler(ABC):
             fstats.backoff_cycles += backoff
             yield env.sleep(backoff)
             backoff *= 2
+        # ...the thief locks the victim's shared deque remotely...
         yield victim.shared.lock.acquire()
         try:
             yield env.sleep(costs.remote_steal_service)
@@ -550,7 +497,7 @@ class Scheduler(ABC):
                 # The empty reply was lost; the thief learns nothing and
                 # pays the timeout before moving on.
                 yield env.sleep(costs.steal_timeout)
-                fstats.steal_timeouts += 1
+                faults.stats.steal_timeouts += 1
             if obs is not None:
                 obs.emit("steal_miss", place=home.place_id,
                          worker=worker.worker_index, victim=pj)

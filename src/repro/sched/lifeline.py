@@ -91,6 +91,11 @@ class LifelineWS(DistWS):
         while len(place.shared) > 1 and waiters:
             # Deterministic: serve the lowest place id first.
             target = min(waiters)
+            dest = self.rt.places[target]
+            if dest.dead:
+                # A crashed lifeliner drains no mailbox: forget it.
+                waiters.discard(target)
+                continue
             if not place.shared.lock.try_acquire():
                 return  # deque busy in simulated time: skip this push
             try:
@@ -104,7 +109,6 @@ class LifelineWS(DistWS):
             waiters.discard(target)
             self.rt.network.send(place_id, target,
                                  task.closure_bytes, MSG_TASK_SHIP)
-            dest = self.rt.places[target]
             dest.mailbox.put(task)
             if self.rt.obs is not None:
                 self.rt.obs.emit("mailbox_put", place=target,

@@ -530,10 +530,10 @@ class ParkRecord(object):
         self.env = env
         self.process = process
         #: When a kernel-resident steal scan owns this park (stock
-        #: ``find_work`` under the flat kernel, no fault plan), wake causes
-        #: are delivered to ``scan_owner.on_wake(cause)`` instead of
-        #: resuming the worker's generator — the round restarts entirely
-        #: inside the kernel.
+        #: ``find_work`` under the flat kernel), wake causes are delivered
+        #: to ``scan_owner.on_wake(cause)`` instead of resuming the
+        #: worker's generator — the round restarts entirely inside the
+        #: kernel.
         self.scan_owner = None
         #: Monotone park-round counter; waiter-list entries carry the round
         #: they were registered for, so entries from earlier rounds are

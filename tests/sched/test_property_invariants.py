@@ -383,11 +383,13 @@ class TestExactlyOnceUnderFaults:
     @settings(max_examples=80, **PROPERTY_SETTINGS)
     @given(case=fault_runs(),
            sched_name=st.sampled_from(["DistWS", "StealHalfWS",
-                                       "MultiStealWS", "LocalizedWS"]))
+                                       "MultiStealWS", "LocalizedWS",
+                                       "X10WS", "Lifeline"]))
     def test_every_task_completes_exactly_once(self, case, sched_name):
         """Random crash/loss/spike/straggler plans never lose or double-
         execute a task (relax policy: orphaned sensitive tasks degrade),
-        for the paper's scheduler and all three steal variants."""
+        for the paper's scheduler, all three steal variants, the
+        baseline without a remote tier and the lifeline policy."""
         n_places, n_tasks, flexible_mask, plan, sched_seed = case
         plan.validate(n_places)
         spec = ClusterSpec(n_places=n_places, workers_per_place=2,

@@ -9,6 +9,12 @@ divergence is a kernel correctness bug by definition: the flat kernel's
 contract is that batched same-cycle dispatch, handle recycling, and the
 kernel-resident steal scan change *nothing* observable.
 
+The quick uts and turing DistWS cells are also diffed under one fixed
+crash + steal-loss + straggler plan, with the crash time resolved
+against the cell's fault-free makespan, comparing the ``faults``
+snapshot too.  The object kernel always runs the generator round, so
+these cells check the flat kernel's crash-aware steal scan against it.
+
 Usage:
     python tools/kernel_diff.py            # quick grid
     python tools/kernel_diff.py --full     # full benchmark grid (slow)
@@ -28,6 +34,15 @@ REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.harness import bench  # noqa: E402
+
+#: The faulted cells' plan; ``{crash_at}`` is filled in with
+#: ``CRASH_FRACTION`` of the cell's fault-free makespan.
+FAULT_PLAN = ("crash:p2@{crash_at},loss:steal=0.1,straggle:p1x2,"
+              "policy:relax,seed:7")
+CRASH_FRACTION = 0.4
+FAULTED = [cell for cell in bench.QUICK_GRID
+           if cell["app"] in ("uts", "turing")
+           and cell["scheduler"] == "DistWS"]
 
 _SNIPPET = """\
 import json, sys
@@ -55,6 +70,19 @@ def run_cell_under(cell: dict, kernel: str) -> str:
     return out.stdout.strip()
 
 
+def diff(cell: dict, key: str) -> tuple[bool, str]:
+    """Run ``cell`` under both kernels; print and return the verdict and
+    the flat kernel's output line."""
+    flat = run_cell_under(cell, "flat")
+    legacy = run_cell_under(cell, "object")
+    if flat == legacy:
+        events = json.loads(flat)["events_processed"]
+        print(f"  OK   {key}: {events} events, identical")
+    else:
+        print(f"  FAIL {key}:\n    flat:   {flat}\n    object: {legacy}")
+    return flat == legacy, flat
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true",
@@ -64,21 +92,24 @@ def main(argv=None) -> int:
 
     cells = (bench.DEFAULT_GRID + bench.QUICK_GRID) if args.full \
         else bench.QUICK_GRID
-    failures = 0
+    results = []
+    makespans = {}
     for cell in cells:
         key = bench.cell_key(cell)
-        flat = run_cell_under(cell, "flat")
-        legacy = run_cell_under(cell, "object")
-        if flat == legacy:
-            events = json.loads(flat)["events_processed"]
-            print(f"  OK   {key}: {events} events, identical")
-        else:
-            failures += 1
-            print(f"  FAIL {key}:\n    flat:   {flat}\n    object: {legacy}")
+        ok, flat = diff(cell, key)
+        results.append(ok)
+        makespans[key] = json.loads(flat)["simulated"]["makespan_cycles"]
+    for cell in FAULTED:
+        key = bench.cell_key(cell)
+        crash_at = CRASH_FRACTION * makespans[key]
+        ok, _ = diff(dict(cell, faults=FAULT_PLAN.format(
+            crash_at=repr(crash_at))), key + " +faults")
+        results.append(ok)
+    failures = results.count(False)
     if failures:
         print(f"\n{failures} cell(s) diverged between kernels")
         return 1
-    print(f"\nall {len(cells)} cells byte-identical across kernels")
+    print(f"\nall {len(results)} cells byte-identical across kernels")
     return 0
 
 
