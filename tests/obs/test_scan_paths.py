@@ -14,7 +14,11 @@ that overrides ``find_work`` (here, by delegating straight back to
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -25,8 +29,9 @@ from repro.obs import EventBus, InMemorySink
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import worker as worker_mod
 from repro.runtime.runtime import SimRuntime
+from repro.harness import bench
 from repro.runtime.task import _reset_task_ids
-from repro.sched import SCHEDULERS
+from repro.sched import SCHEDULERS, make_scheduler
 from repro.sched.base import Scheduler
 
 APPS = ("uts", "turing", "dmg")
@@ -131,38 +136,56 @@ def test_scan_and_generator_rounds_agree_under_faults(app_name, sched_name,
     assert scan == observed(app_name, generator_prefix(cls), plan)
 
 
-@pytest.mark.parametrize("app_name,sched_name",
-                         [("uts", "DistWS"), ("turing", "X10WS")])
-def test_scan_and_generator_agree_on_a_crash_after_commit(app_name,
-                                                          sched_name):
-    """A crash inside a post-commit stall counts the task as done.
+#: The cells the crash-after-commit search runs on.
+AFTER_COMMIT_CELLS = (("uts", "DistWS"), ("turing", "X10WS"))
+
+
+def crash_after_commit(app_name, sched_cls):
+    """The first crash plan whose crash lands in a post-commit stall, and
+    its observed run.
 
     Candidates: one cycle before a task that spawned children ends at
-    place 1.  The first candidate that commits a task at the crash is
-    byte-compared on both paths.
+    place 1, from the second half of the run on.  Returns ``None`` when
+    no candidate commits a task at the crash.
     """
-    cls = SCHEDULERS[sched_name]
-    events = timeline(app_name, cls)
+    events = timeline(app_name, sched_cls)
     parents = {ev["parent"] for ev in events if ev["kind"] == "task_spawn"}
     ends = [ev["t"] for ev in events if ev["kind"] == "task_end"
             and ev["place"] == 1 and ev["task"] in parents]
     for end in ends[len(ends) // 2:]:
-        plan = FaultPlan.parse(f"crash:p1@{end - 1.0!r},policy:relax")
-        scan = observed(app_name, cls, plan)
-        if json.loads(scan[1])["faults"]["committed_at_crash"]:
-            assert scan == observed(app_name, generator_prefix(cls), plan)
-            return
-    pytest.fail("no crash landed in a post-commit stall")
+        spec = f"crash:p1@{end - 1.0!r},policy:relax"
+        run = observed(app_name, sched_cls, FaultPlan.parse(spec))
+        if json.loads(run[1])["faults"]["committed_at_crash"]:
+            return spec, run
+    return None
 
 
-def test_crash_at_the_shared_deque_lock_frees_it(monkeypatch):
-    """A crash that finds a worker queued for, or holding, its place's
-    shared-deque lock leaves the lock free, as the generator's interrupt
-    and ``finally`` do.
+@pytest.mark.parametrize("app_name,sched_name", AFTER_COMMIT_CELLS)
+def test_scan_and_generator_agree_on_a_crash_after_commit(app_name,
+                                                          sched_name):
+    """A crash inside a post-commit stall counts the task as done.
 
-    Candidates: one cycle after a tier-2 attempt at place 1.  The test
-    runs them until both lock states have been met, byte-comparing each
-    candidate that meets a new state with the generator path.
+    The first candidate that commits a task at the crash is
+    byte-compared on both paths.
+    """
+    cls = SCHEDULERS[sched_name]
+    found = crash_after_commit(app_name, cls)
+    if found is None:
+        pytest.fail("no crash landed in a post-commit stall")
+    spec, scan = found
+    assert scan == observed(app_name, generator_prefix(cls),
+                            FaultPlan.parse(spec))
+
+
+def shared_lock_crashes():
+    """Crash plans that find a worker queued for, or holding, its place's
+    shared-deque lock, with their observed runs (turing, DistWS).
+
+    Candidates: one cycle after a tier-2 attempt at place 1, from the
+    second half of the run on, until both lock states have been met.
+    Every candidate must leave the dead place's lock free.  Returns the
+    candidates that met a new state, as ``(spec, states, run)``, and the
+    states met.
     """
     states = []
     cancel = worker_mod._StealScan.cancel
@@ -173,22 +196,39 @@ def test_crash_at_the_shared_deque_lock_frees_it(monkeypatch):
             states.append("held" if ev.callbacks is None else "queued")
         cancel(self)
 
-    monkeypatch.setattr(worker_mod._StealScan, "cancel", recording_cancel)
     cls = SCHEDULERS["DistWS"]
     attempts = [ev["t"] for ev in timeline("turing", cls)
                 if ev["kind"] == "steal_attempt" and ev["tier"] == "shared"
                 and ev["place"] == 1]
-    for at in attempts[len(attempts) // 2:]:
-        plan = FaultPlan.parse(f"crash:p1@{at + 1.0!r},policy:relax")
-        met = set(states)
-        runtimes = []
-        scan = observed("turing", cls, plan, runtimes)
-        assert not runtimes[0].places[1].shared.lock.locked
-        if set(states) != met:
-            assert scan == observed("turing", generator_prefix(cls), plan)
-        if {"held", "queued"} <= set(states):
-            return
-    pytest.fail(f"lock states met: {sorted(set(states))}")
+    found = []
+    worker_mod._StealScan.cancel = recording_cancel
+    try:
+        for at in attempts[len(attempts) // 2:]:
+            spec = f"crash:p1@{at + 1.0!r},policy:relax"
+            met = set(states)
+            runtimes = []
+            run = observed("turing", cls, FaultPlan.parse(spec), runtimes)
+            assert not runtimes[0].places[1].shared.lock.locked
+            if set(states) != met:
+                found.append((spec, sorted(set(states) - met), run))
+            if {"held", "queued"} <= set(states):
+                break
+    finally:
+        worker_mod._StealScan.cancel = cancel
+    return found, set(states)
+
+
+def test_crash_at_the_shared_deque_lock_frees_it():
+    """A crash that finds a worker queued for, or holding, its place's
+    shared-deque lock leaves the lock free, as the generator's interrupt
+    and ``finally`` do.  Each candidate that meets a new lock state is
+    byte-compared with the generator path.
+    """
+    found, states = shared_lock_crashes()
+    assert {"held", "queued"} <= states, f"lock states met: {sorted(states)}"
+    cls = generator_prefix(SCHEDULERS["DistWS"])
+    for spec, _, scan in found:
+        assert scan == observed("turing", cls, FaultPlan.parse(spec))
 
 
 def test_streams_exercise_the_scan_events():
@@ -252,3 +292,148 @@ def test_crash_plan_runs_take_the_scan(monkeypatch, sched_name):
         observed("turing", SCHEDULERS[sched_name], plan)[1])
     assert calls["step"] > 0
     assert snapshot["faults"]["tasks_lost"] > 0
+
+
+# -- golden timelines ---------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_scan_timelines.json")
+REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
+
+#: The bare cells of the full-run identity tests in tests/sim: 4 places x
+#: 2 workers, ``max_threads=6``, app seed 12345, no observer.
+BARE_CELLS = (("uts", "DistWS"), ("uts", "X10WS"), ("turing", "X10WS"))
+
+#: The quick-grid cells diffed under a fixed fault plan; ``{crash_at}`` is
+#: ``CRASH_FRACTION`` of the cell's fault-free makespan.
+BENCH_FAULT_PLAN = ("crash:p2@{crash_at},loss:steal=0.1,straggle:p1x2,"
+                    "policy:relax,seed:7")
+CRASH_FRACTION = 0.4
+BENCH_FAULTED = tuple(cell for cell in bench.QUICK_GRID
+                      if cell["app"] in ("uts", "turing")
+                      and cell["scheduler"] == "DistWS")
+
+
+def cell_run(app_name, sched_name, places, workers, max_threads, seed,
+             app_seed, spec=None):
+    """``observed``'s tuple for an unobserved run (no JSONL stream),
+    configured as :func:`repro.harness.bench.run_cell` configures a cell."""
+    _reset_task_ids()
+    rt = SimRuntime(ClusterSpec(n_places=places, workers_per_place=workers,
+                                max_threads=max_threads),
+                    make_scheduler(sched_name), seed=seed)
+    injector = None
+    if spec is not None:
+        injector = FaultInjector(FaultPlan.parse(spec)).attach(rt)
+    stats = make_app(app_name, scale="test", seed=app_seed).run(
+        rt, validate=False)
+    return (None, json.dumps(stats.snapshot(), sort_keys=True),
+            rt.env.events_processed,
+            repr(injector.events) if injector is not None else None)
+
+
+def bare_args(app_name, sched_name):
+    return (app_name, sched_name, 4, 2, 6, 1, 12345)
+
+
+def bench_faulted_args(cell):
+    """``cell_run`` arguments of a faulted quick-grid cell; the crash time
+    comes from the cell's fault-free makespan."""
+    args = (cell["app"], cell["scheduler"], cell["places"], cell["workers"],
+            cell["workers"] + 4, bench.SCHED_SEED, bench.APP_SEED)
+    makespan = json.loads(cell_run(*args)[1])["makespan_cycles"]
+    return args + (BENCH_FAULT_PLAN.format(
+        crash_at=repr(CRASH_FRACTION * makespan)),)
+
+
+def _sha(text):
+    if text is None:
+        return None
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(run):
+    """A run's golden timeline: its event count, digests of the snapshot,
+    the JSONL stream and the fault event list, and the makespan and
+    ``faults`` block in clear."""
+    jsonl, snapshot, events, fault_events = run
+    snap = json.loads(snapshot)
+    return {"events_processed": events,
+            "makespan_cycles": snap["makespan_cycles"],
+            "faults": snap.get("faults"),
+            "snapshot_sha256": _sha(snapshot),
+            "jsonl_sha256": _sha(jsonl),
+            "fault_events_sha256": _sha(fault_events)}
+
+
+def _object_kernel_run(args):
+    """``cell_run(*args)`` in a fresh interpreter under the object kernel."""
+    env = dict(os.environ, REPRO_KERNEL="object",
+               PYTHONPATH=os.pathsep.join([os.path.join(REPO, "src"), REPO]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from tests.obs.test_scan_paths import cell_run\n"
+         "print(json.dumps(cell_run(*json.loads(sys.argv[1]))))",
+         json.dumps(args)],
+        env=env, cwd=REPO, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    return tuple(json.loads(out.stdout))
+
+
+def regenerate() -> None:  # pragma: no cover - maintenance helper
+    """Record every case's timeline into ``golden_scan_timelines.json``.
+
+    Each case runs on the kernel-resident scan and on the generator
+    round (``generator_prefix``); the bare and faulted bench cells run on
+    the flat kernel and, in a fresh interpreter, on the object kernel.
+    Nothing is written unless both runs of every case are byte-identical.
+
+        PYTHONPATH=src:. python -c "from tests.obs.test_scan_paths import \\
+    regenerate; regenerate()"
+    """
+    goldens = {}
+    mismatched = []
+
+    def record(key, run, oracle, **extra):
+        if run != oracle:
+            mismatched.append(key)
+        goldens[key] = dict(digest(run), **extra)
+
+    for app_name in APPS:
+        for sched_name in sorted(SCHEDULERS):
+            cls = SCHEDULERS[sched_name]
+            record(f"observed|{app_name}|{sched_name}",
+                   observed(app_name, cls),
+                   observed(app_name, generator_prefix(cls)))
+    for app_name, sched_name, plan_name in FAULT_CASES:
+        cls = SCHEDULERS[sched_name]
+        plan = fault_plan(app_name, sched_name, plan_name)
+        record(f"faults|{app_name}|{sched_name}|{plan_name}",
+               observed(app_name, cls, plan),
+               observed(app_name, generator_prefix(cls), plan))
+    for app_name, sched_name in AFTER_COMMIT_CELLS:
+        cls = SCHEDULERS[sched_name]
+        spec, run = crash_after_commit(app_name, cls)
+        record(f"after-commit|{app_name}|{sched_name}", run,
+               observed(app_name, generator_prefix(cls),
+                        FaultPlan.parse(spec)), plan=spec)
+    found, _ = shared_lock_crashes()
+    cls = generator_prefix(SCHEDULERS["DistWS"])
+    for i, (spec, states, run) in enumerate(found):
+        record(f"shared-lock-{i}|turing|DistWS", run,
+               observed("turing", cls, FaultPlan.parse(spec)),
+               plan=spec, states=states)
+    for app_name, sched_name in BARE_CELLS:
+        args = bare_args(app_name, sched_name)
+        record(f"bare|{app_name}|{sched_name}", cell_run(*args),
+               _object_kernel_run(args))
+    for cell in BENCH_FAULTED:
+        args = bench_faulted_args(cell)
+        record(f"bench-faulted|{bench.cell_key(cell)}", cell_run(*args),
+               _object_kernel_run(args), plan=args[-1])
+    if mismatched:
+        raise AssertionError(f"the oracle disagrees on {mismatched}; "
+                             "nothing written")
+    with open(GOLDEN, "w") as fh:
+        json.dump(goldens, fh, sort_keys=True, indent=1)
+        fh.write("\n")

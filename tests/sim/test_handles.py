@@ -264,6 +264,104 @@ def test_sleep_interrupt_interleavings_match_object_kernel(plan):
     assert flat == legacy
 
 
+# -- recorded interleaving corpus ---------------------------------------------
+
+CORPUS = os.path.join(os.path.dirname(__file__), "golden_interleavings.json")
+
+#: The interleaving inputs: a parker's scripted waker steps ``(dt, act)``
+#: and sleepers' ``(dur, cut)`` plans.
+PARK_OPS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2)),
+                    min_size=1, max_size=20)
+INTERRUPT_PLANS = st.lists(
+    st.tuples(st.integers(1, 12), st.one_of(st.none(), st.integers(0, 12))),
+    min_size=1, max_size=12)
+
+
+def _park_races():
+    """Wakes racing a backoff deadline at one timestamp: a ``dt=0`` wake
+    right after a step that lands on or near a deadline (3, 8, 15, ...)."""
+    shapes = [[[d, a], [0, b]] for d in range(10) for a in range(3)
+              for b in range(2)]
+    shapes += [[[d1, 2], [d2, 0], [0, 1]] for d1 in range(10)
+               for d2 in range(10)]
+    shapes += [[[0, 0]] * k for k in range(1, 6)]
+    return shapes
+
+
+def _interrupt_races():
+    """Interrupts landing exactly when the sleep would fire (``cut ==
+    dur``), alone and beside a second sleeper of every length."""
+    shapes = [[[dur, dur]] for dur in range(1, 13)]
+    shapes += [[[dur, dur], [other, dur]] for dur in range(1, 13)
+               for other in range(1, 13)]
+    shapes += [[[dur, dur], [dur, None]] for dur in range(1, 13)]
+    return shapes
+
+
+def _draw(strategy, n, seed):
+    """``n`` inputs from ``strategy`` at a fixed seed, duplicates dropped."""
+    from hypothesis import HealthCheck, Phase
+    from hypothesis import seed as fixed_seed
+
+    drawn = []
+
+    @fixed_seed(seed)
+    @settings(max_examples=n, database=None, deadline=None,
+              phases=[Phase.generate],
+              suppress_health_check=list(HealthCheck))
+    @given(strategy)
+    def collect(value):
+        drawn.append(json.loads(json.dumps(value)))
+
+    collect()
+    unique = []
+    for value in drawn:
+        if value not in unique:
+            unique.append(value)
+    return unique
+
+
+def _normalized(result):
+    """A trace tuple as it reads back from JSON."""
+    return json.loads(json.dumps(result))
+
+
+def regenerate_interleavings() -> None:  # pragma: no cover - maintenance
+    """Record the interleaving corpus into ``golden_interleavings.json``.
+
+    Draws inputs from the strategies above at a fixed seed, adds the
+    explicit race shapes, and stores each input in full with the object
+    kernel's trace, ``events_processed`` and ``now``.  Nothing is written
+    unless the flat kernel agrees on every input.
+
+        PYTHONPATH=src:. python -c "from tests.sim.test_handles import \
+    regenerate_interleavings; regenerate_interleavings()"
+    """
+    corpus = {}
+    for name, trace, strategy, races in (
+            ("park", _park_trace, PARK_OPS, _park_races()),
+            ("interrupt", _interrupt_trace, INTERRUPT_PLANS,
+             _interrupt_races())):
+        inputs = _draw(strategy, 420, seed=20261018)
+        assert len(inputs) >= 400, (name, len(inputs))
+        inputs += [shape for shape in races if shape not in inputs]
+        entries = []
+        for value in inputs:
+            legacy = _normalized(trace(engine_object, value))
+            if _normalized(trace(flat_engine, value)) != legacy:
+                raise AssertionError(f"kernels disagree on {name} input "
+                                     f"{value!r}; nothing written")
+            entries.append({"input": value, "trace": legacy[0],
+                            "events_processed": legacy[1], "now": legacy[2]})
+        corpus[name] = entries
+    with open(CORPUS, "w") as fh:
+        # One entry per line, so a changed entry diffs as one line.
+        fh.write("{\n" + ",\n".join(
+            f"{json.dumps(name)}: [\n" + ",\n".join(
+                json.dumps(entry, sort_keys=True) for entry in entries)
+            + "\n]" for name, entries in sorted(corpus.items())) + "\n}\n")
+
+
 # -- cross-kernel full-simulation identity (batched-dispatch accounting) -----
 
 _CELL_SNIPPET = """\
