@@ -270,8 +270,9 @@ def compare(baseline: Dict, candidate: Dict,
 
     Wall-clock is compared after normalizing by the calibration ratio
     (candidate measured on a machine 2x faster than the baseline's is
-    scaled back up 2x).  Simulated observables must match *exactly* —
-    any drift is reported as a failure regardless of the threshold.
+    scaled back up 2x).  Simulated observables and ``events_processed``
+    must match *exactly* — any drift is reported as a failure regardless
+    of the threshold.
     """
     lines: List[str] = []
     ok = True
@@ -292,6 +293,12 @@ def compare(baseline: Dict, candidate: Dict,
             ok = False
             lines.append(f"  {row['cell']}: SIMULATED METRICS DRIFTED "
                          f"{base['simulated']} -> {row['simulated']}")
+            continue
+        if row.get("events_processed") != base.get("events_processed"):
+            ok = False
+            lines.append(f"  {row['cell']}: EVENTS_PROCESSED DRIFTED "
+                         f"{base.get('events_processed')} -> "
+                         f"{row.get('events_processed')}")
             continue
         norm = row["best_wall_seconds"] * speed_ratio
         pct = 100.0 * (norm - base["best_wall_seconds"]) \

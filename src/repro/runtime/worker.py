@@ -1,10 +1,14 @@
 """The worker: one simulated hardware thread executing activities.
 
-A worker runs an endless loop (a simulated process):
+A worker runs an endless loop, from the kernel's dispatch loop (the
+steal scan, :class:`_StealScan`):
 
 1. pop the own private deque (LIFO — most recently created task first);
-2. otherwise ask the scheduler policy to find work (mailbox probe,
-   co-located steal, shared deque, distributed steal — policy-specific);
+2. otherwise search the place: the mailbox probe, a co-located steal and,
+   for a policy with a shared tier, the local shared deque; if those miss
+   too, the scheduler policy's remote tier
+   (:attr:`~repro.sched.base.Scheduler.find_work_tail`) runs in the
+   worker's generator;
 3. execute the task: run its Python body, price its memory behaviour,
    spawn its children, and advance simulated time by the total cost;
 4. if no work was found anywhere, record a failed round and back off
@@ -19,12 +23,11 @@ paper's observation that stealing itself raises measured node utilization.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.cluster.cache import LruCache
 from repro.runtime.deques import PrivateDeque
 from repro.runtime.task import Task, TaskContext, TaskState
-from repro.sim import engine as _engine
 from repro.sim.engine import (SCAN_MISS, CAUSE_WORK, Interrupt, KernelRound,
                               ParkRecord)
 from repro.sim.events import Event
@@ -39,16 +42,14 @@ class _StealScan(KernelRound):
 
     Covers everything a worker does between two entries into the
     policy's remote tier, step by step from the dispatch loop: each
-    armed heap entry stands in for one legacy ``sleep`` (same due time,
-    same sequence number) and each step performs the side effects the
-    generator's resume would have, in the same order — see
-    :class:`~repro.sim.engine.KernelRound` for the byte-identity
-    contract.  That is:
+    armed heap entry is one stall of the round (a deque operation, a
+    probe, a steal, a task's work) and each step performs that stall's
+    side effects — see :class:`~repro.sim.engine.KernelRound` for the
+    byte-identity contract.  That is:
 
-    - the local tiers of ``Scheduler.find_work``: the deque-op stall and
-      own pop, the mailbox probe (tier 0), the co-located scan (tier 1)
-      and, for a policy with a shared tier, the local shared-deque take
-      (tier 2);
+    - the round's local tiers: the deque-op stall and own pop, the
+      mailbox probe (tier 0), the co-located scan (tier 1) and, for a
+      policy with a shared tier, the local shared-deque take (tier 2);
     - the execution of the task a tier found — :meth:`Worker._start_task`,
       the work stall, under a crash plan :meth:`Worker._commit_task` and
       the post-commit stall, then :meth:`Worker._finish_task` — and the
@@ -77,7 +78,7 @@ class _StealScan(KernelRound):
     **Tier 2's lock.**  The take appends a bound callback to the
     ``SimLock.acquire()`` event exactly where ``Process._handle`` appends
     a generator's resume, so contended acquires queue FIFO and consume
-    sequence numbers as the generator's did.
+    sequence numbers as a yielded acquire does.
 
     **Failures.**  An exception raised in a kernel step (a task body, the
     locality guard) is thrown into the worker's generator, so the run
@@ -90,15 +91,13 @@ class _StealScan(KernelRound):
     its wait target: :meth:`cancel` detaches the scan the way
     ``Process.interrupt`` detaches a generator (stale stall, abandoned
     lock acquire, cancelled park), and :meth:`unwind`, called where the
-    ``Interrupt`` lands, releases a held tier-2 lock as the generator's
-    ``finally`` did.
+    ``Interrupt`` lands, releases a held tier-2 lock.
 
-    **Observation:** with an event bus attached the scan emits the
-    events of the generator code it replaces — ``mailbox_get``,
-    ``steal_attempt``/``steal_hit`` (tiers ``local`` and ``shared``) and
-    ``worker_park``; the task events come from the shared execute halves
-    — with the same fields, in the same order, at the same simulated
-    instants, so observed runs execute this cycle too.
+    **Observation:** with an event bus attached the scan emits
+    ``mailbox_get``, ``steal_attempt``/``steal_hit`` (tiers ``local`` and
+    ``shared``) and ``worker_park``; the task events come from the
+    execute halves.  Each carries its fields at the simulated instant of
+    its step, as recorded in the golden scan timelines.
     """
 
     __slots__ = ("worker", "rt", "st", "costs", "phase", "order", "idx",
@@ -277,7 +276,7 @@ class _StealScan(KernelRound):
                 self._run(task)
             else:
                 # Phase 3: a collapsed round's end stall fired — the
-                # legacy generator would now run the failed-round path.
+                # round failed; park.
                 self.worker._park_failed_round(self.park, self.board)
         except Exception as exc:
             proc = self.proc
@@ -336,9 +335,10 @@ class _StealScan(KernelRound):
 
     # -- round boundaries ----------------------------------------------------
     def _open_round(self) -> None:
-        """A collapsible round arms one stall at the round's end — the seq
-        the legacy ``sleep_at`` consumed — otherwise the ordinary round
-        opens with the deque-op stall."""
+        """A collapsible round arms one stall at the round's end, the
+        absolute due time :meth:`~repro.sched.base.Scheduler.fast_round`
+        returns; otherwise the ordinary round opens with the deque-op
+        stall."""
         env = self.env
         fr = self.fast_round
         if fr is not None:
@@ -358,8 +358,8 @@ class _StealScan(KernelRound):
     def on_wake(self, cause) -> None:
         """The park's wake hop landed: restart the round in the kernel.
 
-        Replicates the legacy resume — backoff reset on a work wake, then
-        the loop top: exit at termination, else open the next round.
+        Backoff reset on a work wake, then the loop top: exit at
+        termination, else open the next round.
         """
         if cause is CAUSE_WORK:
             self.worker._backoff = self.rt.idle_backoff_base
@@ -420,7 +420,7 @@ class Worker:
         self.pending_chunk: list[Task] = []
         #: The simulated process running :meth:`run` (set by the runtime).
         self.proc = None
-        #: The kernel-resident hot cycle, when :meth:`_run_loop` takes it.
+        #: The kernel-resident hot cycle (built by :meth:`_run_loop`).
         self.scan: _StealScan | None = None
         self.task_cycles = 0.0
         self.overhead_cycles = 0.0
@@ -491,8 +491,7 @@ class Worker:
         try:
             yield from self._run_loop()
         except Interrupt:
-            if self.scan is not None:
-                self.scan.unwind()
+            self.scan.unwind()
             if self.current_task is not None:
                 self._end_activity()
             if self.place.dead:
@@ -502,88 +501,45 @@ class Worker:
     def _run_loop(self) -> Generator[Event, object, None]:
         rt = self.runtime
         env = rt.env
-        costs = rt.costs
-        place = self.place
         gate = rt.done_gate
         scheduler = rt.scheduler
-        # Collapsed probe round (flat kernel only): when every steal tier
-        # is provably empty and no other heap entry comes due before the
-        # round would end, the scheduler commits the round's counters and
-        # RNG draws in one call and the kernel sleeps once to the round's
-        # end time instead of resuming this generator per probe.  Fault
-        # plans act at the intermediate micro-events, and an observer
-        # would see one heap entry stand in for many probes (wrong event
-        # timestamps, sampler firing at different points), so either one
-        # disables the collapse.
+        # Collapsed probe round: when every steal tier is provably empty
+        # and no other heap entry comes due before the round would end,
+        # the scheduler commits the round's counters and RNG draws in one
+        # call and the scan arms one stall at the round's end instead of
+        # one per probe.  Fault plans act at the intermediate
+        # micro-events, and an observer would see one heap entry stand in
+        # for many probes (wrong event timestamps, sampler firing at
+        # different points), so either one disables the collapse.
         fast_round = None
-        sleep_at = None
-        if (_engine.KERNEL == "flat" and scheduler.collapses_rounds()
-                and rt.faults is None and rt.obs is None):
+        if (scheduler.collapses_rounds() and rt.faults is None
+                and rt.obs is None):
             fast_round = scheduler.fast_round
-            sleep_at = env.sleep_at
         # One reusable park replaces the per-round AnyOf garbage; the
         # board a parking worker watches is fixed per policy.
         park = ParkRecord(env, self.proc)
         board = scheduler.park_board()
-        # Kernel-resident hot cycle (flat kernel only): the local tiers,
-        # task execution, failed rounds and parks all run from the
-        # dispatch loop (_StealScan); this generator resumes only to run
-        # the policy's remote tail and to exit.  Fault plans included:
-        # the scan defers commits and unwinds at a crash as the generator
-        # does.  Only sound when the scheduler uses the stock find_work
-        # (an override may reorder the tiers); an override falls back to
-        # the generator path below.
-        if _engine.KERNEL == "flat":
-            from repro.sched.base import Scheduler as _SchedulerBase
-            if type(scheduler).find_work is _SchedulerBase.find_work:
-                tail = scheduler.find_work_tail
-                scan = self.scan = _StealScan(env, self.proc, self, park,
-                                              board, gate, fast_round,
-                                              tail is not None)
-                if gate.is_open:
-                    return
-                outcome = yield scan.open()
-                while outcome is SCAN_MISS:
-                    task = yield from tail(self)
-                    if task is None:
-                        outcome = yield scan.park_failed()
-                    else:
-                        outcome = yield scan.run(task)
-                return
-        # Hot-loop locals: these lookups are loop-invariant, and the
-        # per-round deque-op stall is by far the most common sleep.
-        sleep = env.sleep
-        deque_pop = self.deque.pop
-        find_work = scheduler.find_work
-        deque_op = costs.private_deque_op
-        while not gate.is_open:
-            if place.dead:
-                return
-            if fast_round is not None and (due := fast_round(self)) is not None:
-                yield sleep_at(due)
-                task = None
+        # The kernel-resident hot cycle: the local tiers, task execution,
+        # failed rounds and parks all run from the dispatch loop
+        # (_StealScan), fault plans included; this generator resumes only
+        # to run the policy's remote tail and to exit.
+        tail = scheduler.find_work_tail
+        scan = self.scan = _StealScan(env, self.proc, self, park, board,
+                                      gate, fast_round, tail is not None)
+        if gate.is_open:
+            return
+        outcome = yield scan.open()
+        while outcome is SCAN_MISS:
+            task = yield from tail(self)
+            if task is None:
+                outcome = yield scan.park_failed()
             else:
-                yield sleep(deque_op)
-                self.overhead_cycles += deque_op
-                task = deque_pop()
-                if task is None:
-                    task = yield from find_work(self)
-            if task is not None:
-                self._backoff = rt.idle_backoff_base
-                yield from self.execute(task)
-                continue
-            # Nothing anywhere: failed round, then back off.
-            self._park_failed_round(park, board)
-            cause = yield park
-            if cause is CAUSE_WORK:
-                # Work arrived at this place: search eagerly again.
-                self._backoff = rt.idle_backoff_base
+                outcome = yield scan.run(task)
 
     def _park_failed_round(self, park: ParkRecord, board) -> None:
         """Failed-round bookkeeping, then arm ``park`` with the backoff.
 
-        Shared by the generator loop and the kernel-resident scan; the
-        caller waits on the park (or, in the scan, owns its wake).
+        Called by the kernel-resident scan, which owns the park's wake.
         """
         rt = self.runtime
         place = self.place
@@ -608,21 +564,6 @@ class Worker:
         self._backoff = min(self._backoff * 2, rt.idle_backoff_cap)
 
     # -- execution -------------------------------------------------------------
-    def execute(self, task: Task) -> Generator[Event, object, None]:
-        """Run one activity to completion in simulated time.
-
-        The generator-path form of the halves the kernel-resident scan
-        runs around its own armed stalls.  Under a crash plan the commit
-        (running the real body and spawning children) waits until after
-        the work stall, so a fail-stop crash mid-task loses the task
-        cleanly — no real side effects, re-executable exactly once.
-        """
-        rt = self.runtime
-        yield rt.env.sleep(self._start_task(task))
-        if rt.faults is not None and rt.faults.crash_safe:
-            yield rt.env.sleep(self._commit_task(task))
-        self._finish_task(task)
-
     def _start_task(self, task: Task) -> float:
         """Everything before an activity's work stall; returns its cycles.
 

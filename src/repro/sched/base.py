@@ -4,16 +4,21 @@ A scheduler owns two decisions:
 
 - **mapping** (:meth:`Scheduler.map_task`): which deque a freshly spawned
   task lands in (Algorithm 1 lines 1-8 for DistWS);
-- **work finding** (:meth:`Scheduler.find_work`): what an idle worker does
-  after its own private deque came up empty (Algorithm 1 lines 9-29).
+- **work finding** (Algorithm 1 lines 9-29): what an idle worker does
+  after its own private deque came up empty.  Tiers 0-2 (home mailbox,
+  co-located steal, local shared deque) are the same for every policy
+  and run in the worker's kernel-resident steal scan
+  (:class:`~repro.runtime.worker._StealScan`); what follows a miss there
+  is the policy's :attr:`Scheduler.find_work_tail`.
 
-``find_work`` is a *generator* run inside the worker's simulated process:
-it yields timeouts / lock acquisitions to consume simulated time and
-returns the acquired :class:`~repro.runtime.task.Task` (or ``None``).
+``find_work_tail`` is the only policy generator: it runs inside the
+worker's simulated process, yields timeouts / lock acquisitions to consume
+simulated time and returns the acquired
+:class:`~repro.runtime.task.Task` (or ``None``).
 
-The shared machinery for the three steal tiers (mailbox probe, co-located
-victims, local shared deque, remote shared deques) lives here so concrete
-policies compose the tiers rather than re-implement them.
+The shared machinery for the remote tier (mailbox re-probe, remote shared
+deques, chunk shipping, victim blacklist) lives here so concrete policies
+compose it rather than re-implement it.
 """
 
 from __future__ import annotations
@@ -198,47 +203,21 @@ class Scheduler(ABC):
         return rt.costs.private_deque_op
 
     # -- work finding ------------------------------------------------------------
-    #: Whether :meth:`find_work` includes tier 2, the local shared-deque
-    #: take (every policy but X10WS, which has no shared deque traffic).
+    #: Whether the round includes tier 2, the local shared-deque take
+    #: (every policy but X10WS, which has no shared deque traffic).
     shared_tier: bool = True
 
-    #: Policy-specific continuation of :meth:`find_work` after the local
-    #: tiers (mailbox probe, co-located steal, shared deque) have missed —
-    #: the remote tier: a generator method, or ``None`` when the policy
-    #: has no further tiers (X10WS).  Keeping the local tiers in one place
-    #: is what lets the flat kernel's :class:`~repro.sim.engine.KernelRound`
-    #: scan execute them without resuming the worker's generator.
+    #: The policy's continuation of the round after the local tiers
+    #: (mailbox probe, co-located steal, shared deque) have missed — the
+    #: remote tier: a generator method, or ``None`` when the policy has no
+    #: further tiers (X10WS).  The local tiers run in the worker's
+    #: kernel-resident steal scan; this is the only part of the round a
+    #: policy customises.
     find_work_tail = None
-
-    def find_work(self, worker: "Worker") -> FindWork:
-        """Acquire a task for an idle worker, consuming simulated time.
-
-        Tier 0 (home mailbox), tier 1 (co-located private-deque steal)
-        and tier 2 (local shared deque, when :attr:`shared_tier`) are
-        identical across every policy; what follows a tier-2 miss is the
-        policy's :attr:`find_work_tail`.  A policy that overrides
-        ``find_work`` itself opts out of the kernel-resident scan (the
-        worker checks ``type(scheduler).find_work`` identity).
-        """
-        task = self._probe_mailbox(worker)
-        if task is not None:
-            return task
-        task = yield from self._steal_colocated(worker)
-        if task is not None:
-            return task
-        if self.shared_tier:
-            task = yield from self._steal_local_shared(worker)
-            if task is not None:
-                return task
-        tail = self.find_work_tail
-        if tail is None:
-            return None
-        task = yield from tail(worker)
-        return task
 
     # -- shared steal tiers -------------------------------------------------------
     def _probe_mailbox(self, worker: "Worker") -> Optional[Task]:
-        """Tier 0: take a task shipped to this place from the network."""
+        """Re-probe the home mailbox between remote steal attempts."""
         task = worker.place.mailbox.try_get()
         if task is not None:
             self.rt.stats.steals.mailbox_hits += 1
@@ -248,76 +227,6 @@ class Scheduler(ABC):
                                  worker=worker.worker_index,
                                  task=task.task_id)
         return task  # type: ignore[return-value]
-
-    def _steal_colocated(self, worker: "Worker") -> FindWork:
-        """Tier 1: steal one task from a co-located worker's private deque."""
-        rt = self.rt
-        env = rt.env
-        st = rt.stats.steals
-        peers = worker.steal_peers
-        if peers is None:
-            peers = worker.steal_peers = [
-                w for w in worker.place.workers if w is not worker]
-        orders = worker.victim_orders
-        if orders is None:
-            orders = worker.victim_orders = rt.rngs.permutations(
-                len(peers), "victims", *worker.wid)
-        obs = rt.obs
-        for idx in orders.draw():
-            victim = peers[idx]
-            st.local_attempts += 1
-            if obs is not None:
-                obs.emit("steal_attempt", tier="local",
-                         place=worker.place.place_id,
-                         worker=worker.worker_index,
-                         victim=victim.worker_index)
-            yield env.sleep(rt.costs.local_steal_attempt)
-            worker.charge_overhead(rt.costs.local_steal_attempt)
-            task = victim.deque.steal()
-            if task is not None:
-                # In no deque for the steal-success stall: held where a
-                # crash of this place finds it (see ``pending_chunk``).
-                worker.pending_chunk = [task]
-                yield env.sleep(rt.costs.local_steal_success)
-                worker.pending_chunk = []
-                worker.charge_overhead(rt.costs.local_steal_success)
-                st.local_hits += 1
-                if obs is not None:
-                    obs.emit("steal_hit", tier="local",
-                             place=worker.place.place_id,
-                             worker=worker.worker_index,
-                             victim=victim.worker_index, tasks=1)
-                return task
-        return None
-
-    def _steal_local_shared(self, worker: "Worker") -> FindWork:
-        """Tier 2: take the oldest task from the place's own shared deque."""
-        rt = self.rt
-        env = rt.env
-        shared = worker.place.shared
-        rt.stats.steals.shared_local_attempts += 1
-        if rt.obs is not None:
-            rt.obs.emit("steal_attempt", tier="shared",
-                        place=worker.place.place_id,
-                        worker=worker.worker_index,
-                        victim=worker.place.place_id)
-        yield shared.lock.acquire()
-        try:
-            yield env.sleep(rt.costs.shared_deque_op)
-            worker.charge_overhead(rt.costs.shared_deque_op)
-            task = shared.take_oldest(remote=False)
-            if len(shared) == 0:
-                rt.board.retract(shared.place_id)
-        finally:
-            shared.lock.release()
-        if task is not None:
-            rt.stats.steals.shared_local_hits += 1
-            if rt.obs is not None:
-                rt.obs.emit("steal_hit", tier="shared",
-                            place=worker.place.place_id,
-                            worker=worker.worker_index,
-                            victim=worker.place.place_id, tasks=1)
-        return task
 
     def _steal_remote(self, worker: "Worker",
                       victim_order: List[int]) -> FindWork:
@@ -588,12 +497,12 @@ class Scheduler(ABC):
         """A steal from ``pj`` succeeded: clear its strike history."""
         self._victim_strikes.pop(pj, None)
 
-    # -- collapsed failed round (flat-kernel fast path) ------------------------
-    #: Whether this policy's ``find_work`` follows the canonical tier shape
-    #: :meth:`fast_round` models — mailbox probe, co-located scan, optional
-    #: shared-deque take, board-gated remote tier.  Only the audited
-    #: built-in policies opt in; a subclass with a custom ``find_work``
-    #: keeps the legacy per-probe path unless it opts in itself.
+    # -- collapsed failed round ---------------------------------------------------
+    #: Whether this policy's remote tier follows the shape :meth:`fast_round`
+    #: models — a board-gated walk that a round with no advertised surplus
+    #: skips entirely, leaving only its victim-order draw.  Only the
+    #: audited built-in policies opt in; a subclass with a custom
+    #: ``find_work_tail`` keeps the per-probe round unless it opts in itself.
     _fast_round_ok: bool = False
 
     def collapses_rounds(self) -> bool:
@@ -620,24 +529,24 @@ class Scheduler(ABC):
             self._random_place_order(worker)
 
     def fast_round(self, worker: "Worker"):
-        """Collapse one provably-failed steal round into a single sleep.
+        """Collapse one provably-failed steal round into a single stall.
 
-        Called by the worker loop (flat kernel, no faults, no observer,
-        :meth:`collapses_rounds`) *instead of* the deque pop +
-        :meth:`find_work` generator.  When every tier is empty and no
-        other heap entry comes due before the round would end, the
-        legacy round is a fixed script — a known sequence of sleeps,
-        counter bumps, and RNG draws whose outcome is already determined
-        — so this method commits those side effects synchronously and
-        returns the round's end time for one ``sleep_at``.  Returns
-        ``None`` when the round might find work or interleave with any
-        other process; the caller then runs the exact legacy path.
+        Called by the worker's steal scan (no faults, no observer,
+        :meth:`collapses_rounds`) *instead of* opening the per-probe
+        round.  When every tier is empty and no other heap entry comes
+        due before the round would end, the round is a fixed script — a
+        known sequence of stalls, counter bumps, and RNG draws whose
+        outcome is already determined — so this method commits those side
+        effects synchronously and returns the round's end time, at which
+        the scan arms one stall.  Returns ``None`` when the round might
+        find work or interleave with any other process; the scan then
+        runs the per-probe round.
 
         The commit must replicate *every* observable side effect in the
-        legacy order: simulated-time float adds, overhead-cycle adds,
-        steal-stat counters, the uncontended shared-lock acquire, the
-        board retract, victim-RNG draws, and the engine's seq/event
-        accounting.  The golden differential suite is the proof.
+        per-probe round's order: simulated-time float adds, overhead-cycle
+        adds, steal-stat counters, the uncontended shared-lock acquire,
+        the board retract, victim-RNG draws, and the engine's seq/event
+        accounting.  The golden snapshot suites are the proof.
         """
         place = worker.place
         if worker.deque._items or place.mailbox._items:
@@ -650,7 +559,7 @@ class Scheduler(ABC):
             peers = worker.steal_peers = [
                 w for w in place.workers if w is not worker]
         n = len(peers)
-        # The round's timeline, float-added in the legacy sleep order.
+        # The round's timeline, float-added in the per-probe stall order.
         t = env._now + costs.private_deque_op
         la = costs.local_steal_attempt
         for _ in range(n):
@@ -691,8 +600,8 @@ class Scheduler(ABC):
             n_seq += 2  # the uncontended lock-acquire event + the op sleep
         worker.overhead_cycles = oc
         self._fast_remote_commit(worker)
-        # The caller issues one sleep_at(t) — one push, one dispatch — in
-        # place of the round's n_seq entries: account for the rest here.
+        # The scan arms one stall at t — one push, one dispatch — in place
+        # of the round's n_seq entries: account for the rest here.
         env._seq += n_seq - 1
         env.events_processed += n_seq - 1
         return t

@@ -104,8 +104,8 @@ class DistWS(Scheduler):
                 and self.victim_order != "nearest"):
             self._random_place_order(worker)
 
-    # -- work finding (Algorithm 1 lines 9-29; tiers 0-2 live in the base
-    # find_work, this is the distributed tier after a local miss) ----------
+    # -- work finding (Algorithm 1 lines 9-29; tiers 0-2 run in the worker's
+    # steal scan, this is the distributed tier after a local miss) --------
     def find_work_tail(self, worker: "Worker") -> FindWork:
         task = None
         if self.rt.spec.n_places > 1:

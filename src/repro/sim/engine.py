@@ -49,19 +49,20 @@ individually so events/sec stays comparable across kernels.
 
 The scheduler's probe-fail-park round is hoisted into
 :meth:`repro.sched.base.Scheduler.fast_round` (a vectorized victim scan
-over the flat columns); :meth:`Environment.sleep_at` is the kernel-side
-half of that contract.
+over the flat columns); the worker's :class:`KernelRound` arms the
+round's end at the absolute due time it returns.
 
-The PR-5 object kernel is kept verbatim in :mod:`repro.sim.engine_object`
-and selected for a whole process with ``REPRO_KERNEL=object``; the 38-cell
-golden differential and ``tools/kernel_diff.py`` prove both kernels produce
-byte-identical simulated results.  See DESIGN.md §17.
+This is the simulator's only kernel.  Its reference is recorded: the
+golden snapshots (``tests/sim/golden_kernel_snapshots.json`` and its
+siblings), the golden scan timelines (``tests/obs/
+golden_scan_timelines.json``) and the interleaving corpus (``tests/sim/
+golden_interleavings.json``), written while the earlier object kernel
+still ran beside it.  See DESIGN.md §17.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
@@ -132,11 +133,12 @@ class KernelRound:
     next step or resolves the round back into the generator.
 
     The contract with byte-identity: each armed entry consumes exactly
-    one sequence number at exactly the time the legacy generator's
-    ``sleep`` would have, and :meth:`step` performs exactly the side
-    effects the generator's resume would have performed, in the same
-    order within the same dispatch.  The round is therefore exact under
-    *any* event interleaving — unlike the collapsed
+    one sequence number at exactly the time the generator round it
+    replaced slept, and :meth:`step` performs exactly the side effects
+    that generator's resume performed, in the same order within the same
+    dispatch (the golden scan timelines, recorded while both rounds
+    existed, pin this).  The round is therefore exact under *any* event
+    interleaving — unlike the collapsed
     :meth:`~repro.sched.base.Scheduler.fast_round`, it needs no global
     heap-quiescence guard.
 
@@ -297,23 +299,6 @@ class Environment:
         heapq.heappush(self._queue, (self._now + delay, self._seq, h))
         return _SLEEP
 
-    def sleep_at(self, due: float) -> "_Sleep":
-        """:meth:`sleep` to an *absolute* due time (kernel-internal).
-
-        Used by :meth:`repro.sched.base.Scheduler.fast_round`, which
-        pre-computes the exact float due of a collapsed probe round by
-        accumulating the per-probe costs in event order — re-deriving a
-        delay and adding it to ``now`` would perturb the low float bits.
-        """
-        proc = self._current
-        if proc is None:
-            raise SimulationError("sleep_at() called outside a process")
-        h = proc._h
-        self._seq += 1
-        self._arm[h] = self._seq
-        heapq.heappush(self._queue, (due, self._seq, h))
-        return _SLEEP
-
     def any_of(self, events: List[Event]) -> AnyOf:
         """Composite event triggering on the first of ``events``."""
         return AnyOf(self, events)
@@ -324,11 +309,7 @@ class Environment:
 
     def process(self, generator: Generator[Event, Any, Any]) -> "Process":
         """Start a simulated process from ``generator``."""
-        # Via the stable alias: under REPRO_KERNEL=object the module
-        # global ``Process`` is rebound to the object kernel's class, but
-        # a flat Environment must always drive flat processes (the Flat*
-        # aliases exist precisely for in-process differential tests).
-        return FlatProcess(self, generator)
+        return Process(self, generator)
 
     # -- main loop ------------------------------------------------------------
     def _dispatch(self, seq: int, h: int, due: float) -> None:
@@ -529,11 +510,10 @@ class ParkRecord(object):
     def __init__(self, env: Environment, process: "Process") -> None:
         self.env = env
         self.process = process
-        #: When a kernel-resident steal scan owns this park (stock
-        #: ``find_work`` under the flat kernel), wake causes are delivered
-        #: to ``scan_owner.on_wake(cause)`` instead of resuming the
-        #: worker's generator — the round restarts entirely inside the
-        #: kernel.
+        #: When a kernel-resident steal scan owns this park (every worker
+        #: park), wake causes are delivered to ``scan_owner.on_wake(cause)``
+        #: instead of resuming the worker's generator — the round restarts
+        #: entirely inside the kernel.
         self.scan_owner = None
         #: Monotone park-round counter; waiter-list entries carry the round
         #: they were registered for, so entries from earlier rounds are
@@ -677,11 +657,7 @@ class ParkRecord(object):
         return f"<ParkRecord {names[self.state]} round={self.round}>"
 
 
-#: Kernel-armed wait targets a flat process may yield.  Captured before
-#: the REPRO_KERNEL rebind at module bottom: flat Process internals must
-#: type-check against the *flat* classes even when the public names are
-#: rebound to the object kernel (the Flat* aliases stay fully usable for
-#: in-process differential tests).
+#: Kernel-armed wait targets a process may yield.
 _KERNEL_WAITS = (ParkRecord, KernelRound)
 
 
@@ -824,7 +800,7 @@ class Process(Event):
     def _handle(self, target: Any) -> None:
         """Wait on whatever the generator yielded."""
         if target is _SLEEP:
-            self._waiting_on = target  # armed by env.sleep()/sleep_at()
+            self._waiting_on = target  # armed by env.sleep()
             return
         if isinstance(target, Event):
             if target.callbacks is None:
@@ -844,32 +820,3 @@ class Process(Event):
         self.fail(SimulationError(
             f"process yielded {target!r}; processes must yield Events"))
 
-
-#: Which kernel this module exposes: ``"flat"`` (this file) or ``"object"``
-#: (the PR-5 kernel from :mod:`repro.sim.engine_object`).  The scheduler's
-#: collapsed probe round keys off this flag.
-KERNEL = "flat"
-
-#: The flat classes stay importable under stable aliases even when the
-#: public names below are rebound to the object kernel — in-process
-#: differential tests drive both kernels side by side through these.
-FlatEnvironment = Environment
-FlatProcess = Process
-FlatParkRecord = ParkRecord
-
-_requested = os.environ.get("REPRO_KERNEL", "flat").strip().lower() or "flat"
-if _requested in ("object", "legacy"):
-    from repro.sim import engine_object as _object_kernel
-
-    KERNEL = "object"
-    Environment = _object_kernel.Environment  # type: ignore[misc]
-    Process = _object_kernel.Process  # type: ignore[misc]
-    ParkRecord = _object_kernel.ParkRecord  # type: ignore[misc]
-    Interrupt = _object_kernel.Interrupt  # type: ignore[misc]
-    CAUSE_DONE = _object_kernel.CAUSE_DONE
-    CAUSE_WORK = _object_kernel.CAUSE_WORK
-    CAUSE_TIMEOUT = _object_kernel.CAUSE_TIMEOUT
-    CAUSE_BOARD = _object_kernel.CAUSE_BOARD
-elif _requested != "flat":
-    raise SimulationError(
-        f"unknown REPRO_KERNEL={_requested!r}; expected 'flat' or 'object'")

@@ -23,8 +23,6 @@ from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import _reset_task_ids
 from repro.sched import SCHEDULERS
 
-from tests.obs.test_scan_paths import generator_prefix
-
 SPEC = ClusterSpec(n_places=4, workers_per_place=2, max_threads=6)
 
 
@@ -40,7 +38,7 @@ def run(app_name, sched_cls, plan=None, max_cycles=1e14, bus=None):
     return rt, stats
 
 
-@pytest.mark.parametrize("path", ["scan", "generator"])
+@pytest.mark.parametrize("path", ["scan"])  # the steal scan's tier 1
 def test_crash_in_colocated_steal_stall_relocates_the_task(path):
     cls = SCHEDULERS["DistWS"]
     # A crash plan defers task commits, so its timeline is the one of any
@@ -57,8 +55,6 @@ def test_crash_in_colocated_steal_stall_relocates_the_task(path):
     assert hits
     crash_at = hits[len(hits) // 2] - 100.0
     plan = FaultPlan.parse(f"crash:p1@{crash_at!r},policy:relax")
-    if path == "generator":
-        cls = generator_prefix(cls)
     rt, stats = run("uts", cls, plan,
                     max_cycles=3 * late.makespan_cycles)
     assert stats.faults.tasks_lost >= 1

@@ -1,14 +1,23 @@
 """Observed and faulted runs take the kernel-resident steal scan, and it
-emits exactly what the generator round emits.
+emits exactly what the generator round it replaced emitted.
 
-While both round implementations exist (the scan and the generator
-``find_work`` prefix), an observer must see the same event stream from
-either: same events, same fields, same order, same timestamps, the same
-sampler firings — and the simulated run must not change, under a fault
-plan too (crashes, message loss, latency spikes, stragglers).  The generator
-prefix is forced through the stock opt-out seam: a scheduler subclass
-that overrides ``find_work`` (here, by delegating straight back to
-``Scheduler.find_work``) is never given the scan.
+An observer must see the same event stream the generator round produced:
+same events, same fields, same order, same timestamps, the same sampler
+firings — and the simulated run must not change, under a fault plan too
+(crashes, message loss, latency spikes, stragglers).  The reference is
+``golden_scan_timelines.json``: one timeline per case, recorded while the
+generator round (and, for the bare and bench cells, the object kernel)
+still ran beside the scan, and written only where both agreed byte for
+byte.  Each case now runs once and is compared with its timeline.
+
+A timeline is ``events_processed``, sha256 digests of the sorted snapshot
+(``faults`` block included), the JSONL stream and the fault injector's
+event list, and the makespan and ``faults`` block in clear, so a failing
+comparison stays readable.  Re-record only for a deliberate physics
+change::
+
+    PYTHONPATH=src:. python -c "from tests.obs.test_scan_paths import \
+regenerate; regenerate()"
 """
 
 from __future__ import annotations
@@ -17,22 +26,19 @@ import functools
 import hashlib
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.apps import make_app
 from repro.cluster.topology import ClusterSpec
 from repro.faults import FaultInjector, FaultPlan
+from repro.harness import bench
 from repro.obs import EventBus, InMemorySink
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import worker as worker_mod
 from repro.runtime.runtime import SimRuntime
-from repro.harness import bench
 from repro.runtime.task import _reset_task_ids
 from repro.sched import SCHEDULERS, make_scheduler
-from repro.sched.base import Scheduler
 
 APPS = ("uts", "turing", "dmg")
 
@@ -40,12 +46,7 @@ APPS = ("uts", "turing", "dmg")
 #: scan's next-probe branch is covered, not only its first probe.
 SPEC = ClusterSpec(n_places=4, workers_per_place=3, max_threads=5)
 
-
-def generator_prefix(cls):
-    """``cls`` with ``find_work`` overridden, forcing the generator path."""
-    return type(f"Generator{cls.__name__}", (cls,),
-                {"find_work": lambda self, worker:
-                 Scheduler.find_work(self, worker)})
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_scan_timelines.json")
 
 
 def observed(app_name, sched_cls, plan=None, runtimes=None):
@@ -66,6 +67,57 @@ def observed(app_name, sched_cls, plan=None, runtimes=None):
     return (jsonl, json.dumps(stats.snapshot(), sort_keys=True),
             rt.env.events_processed,
             repr(injector.events) if injector is not None else None)
+
+
+def cell_run(app_name, sched_name, places, workers, max_threads, seed,
+             app_seed, faults=None):
+    """``observed``'s tuple for an unobserved run (no JSONL stream) under
+    the fault plan spec ``faults``, if given, configured as
+    :func:`repro.harness.bench.run_cell` configures a cell."""
+    _reset_task_ids()
+    rt = SimRuntime(ClusterSpec(n_places=places, workers_per_place=workers,
+                                max_threads=max_threads),
+                    make_scheduler(sched_name), seed=seed)
+    injector = None
+    if faults is not None:
+        injector = FaultInjector(FaultPlan.parse(faults)).attach(rt)
+    stats = make_app(app_name, scale="test", seed=app_seed).run(
+        rt, validate=False)
+    return (None, json.dumps(stats.snapshot(), sort_keys=True),
+            rt.env.events_processed,
+            repr(injector.events) if injector is not None else None)
+
+
+def _sha(text):
+    if text is None:
+        return None
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(run):
+    """A run's timeline: its event count, digests of the snapshot, the
+    JSONL stream and the fault event list, and the makespan and
+    ``faults`` block in clear."""
+    jsonl, snapshot, events, fault_events = run
+    snap = json.loads(snapshot)
+    return {"events_processed": events,
+            "makespan_cycles": snap["makespan_cycles"],
+            "faults": snap.get("faults"),
+            "snapshot_sha256": _sha(snapshot),
+            "jsonl_sha256": _sha(jsonl),
+            "fault_events_sha256": _sha(fault_events)}
+
+
+@functools.lru_cache(maxsize=None)
+def goldens():
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+def assert_golden(key, run, **extra):
+    """``run``'s timeline (with ``extra``, e.g. the crash plan a search
+    found) is the recorded one."""
+    assert dict(digest(run), **extra) == goldens()[key], key
 
 
 #: One plan per fault kind; times in (0, 1] are fractions of the cell's
@@ -108,9 +160,8 @@ def timeline(app_name, sched_cls):
 @pytest.mark.parametrize("app_name", APPS)
 @pytest.mark.parametrize("sched_name", sorted(SCHEDULERS))
 def test_scan_and_generator_rounds_emit_identically(app_name, sched_name):
-    cls = SCHEDULERS[sched_name]
-    assert observed(app_name, cls) == observed(app_name,
-                                               generator_prefix(cls))
+    assert_golden(f"observed|{app_name}|{sched_name}",
+                  observed(app_name, SCHEDULERS[sched_name]))
 
 
 #: Every scheduler on uts (steal-heavy) under every plan, plus the scan's
@@ -128,12 +179,11 @@ FAULT_CASES = (
 def test_scan_and_generator_rounds_agree_under_faults(app_name, sched_name,
                                                       plan_name):
     """Snapshot (``faults`` block included), fault event list, JSONL
-    stream and ``events_processed`` are byte-identical on both paths."""
-    cls = SCHEDULERS[sched_name]
+    stream and ``events_processed`` are the recorded ones."""
     plan = fault_plan(app_name, sched_name, plan_name)
-    scan = observed(app_name, cls, plan)
+    scan = observed(app_name, SCHEDULERS[sched_name], plan)
     assert '"faults"' in scan[1]
-    assert scan == observed(app_name, generator_prefix(cls), plan)
+    assert_golden(f"faults|{app_name}|{sched_name}|{plan_name}", scan)
 
 
 #: The cells the crash-after-commit search runs on.
@@ -163,18 +213,15 @@ def crash_after_commit(app_name, sched_cls):
 @pytest.mark.parametrize("app_name,sched_name", AFTER_COMMIT_CELLS)
 def test_scan_and_generator_agree_on_a_crash_after_commit(app_name,
                                                           sched_name):
-    """A crash inside a post-commit stall counts the task as done.
-
-    The first candidate that commits a task at the crash is
-    byte-compared on both paths.
-    """
-    cls = SCHEDULERS[sched_name]
-    found = crash_after_commit(app_name, cls)
+    """A crash inside a post-commit stall counts the task as done; the
+    first candidate that commits a task at the crash is the recorded
+    one."""
+    found = crash_after_commit(app_name, SCHEDULERS[sched_name])
     if found is None:
         pytest.fail("no crash landed in a post-commit stall")
     spec, scan = found
-    assert scan == observed(app_name, generator_prefix(cls),
-                            FaultPlan.parse(spec))
+    assert json.loads(scan[1])["faults"]["committed_at_crash"] > 0
+    assert_golden(f"after-commit|{app_name}|{sched_name}", scan, plan=spec)
 
 
 def shared_lock_crashes():
@@ -221,18 +268,59 @@ def shared_lock_crashes():
 def test_crash_at_the_shared_deque_lock_frees_it():
     """A crash that finds a worker queued for, or holding, its place's
     shared-deque lock leaves the lock free, as the generator's interrupt
-    and ``finally`` do.  Each candidate that meets a new lock state is
-    byte-compared with the generator path.
-    """
+    and ``finally`` did.  Each candidate that meets a new lock state is
+    the recorded one."""
     found, states = shared_lock_crashes()
     assert {"held", "queued"} <= states, f"lock states met: {sorted(states)}"
-    cls = generator_prefix(SCHEDULERS["DistWS"])
-    for spec, _, scan in found:
-        assert scan == observed("turing", cls, FaultPlan.parse(spec))
+    recorded = sorted(key for key in goldens()
+                      if key.startswith("shared-lock-"))
+    assert len(found) == len(recorded)
+    for i, (spec, met, scan) in enumerate(found):
+        assert_golden(f"shared-lock-{i}|turing|DistWS", scan,
+                      plan=spec, states=met)
+
+
+#: The bare cells of the full-run identity tests in tests/sim: 4 places x
+#: 2 workers, ``max_threads=6``, app seed 12345, no observer.
+BARE_CELLS = (("uts", "DistWS"), ("uts", "X10WS"), ("turing", "X10WS"))
+
+
+def bare_args(app_name, sched_name):
+    return (app_name, sched_name, 4, 2, 6, 1, 12345)
+
+
+#: The quick-grid cells run under a fixed fault plan; ``{crash_at}`` is
+#: ``CRASH_FRACTION`` of the cell's fault-free makespan.
+BENCH_FAULT_PLAN = ("crash:p2@{crash_at},loss:steal=0.1,straggle:p1x2,"
+                    "policy:relax,seed:7")
+CRASH_FRACTION = 0.4
+BENCH_FAULTED = tuple(cell for cell in bench.QUICK_GRID
+                      if cell["app"] in ("uts", "turing")
+                      and cell["scheduler"] == "DistWS")
+
+
+def bench_faulted_args(cell):
+    """``cell_run`` arguments of a faulted quick-grid cell; the crash time
+    comes from the cell's fault-free makespan."""
+    args = (cell["app"], cell["scheduler"], cell["places"], cell["workers"],
+            cell["workers"] + 4, bench.SCHED_SEED, bench.APP_SEED)
+    makespan = json.loads(cell_run(*args)[1])["makespan_cycles"]
+    return args + (BENCH_FAULT_PLAN.format(
+        crash_at=repr(CRASH_FRACTION * makespan)),)
+
+
+@pytest.mark.parametrize("cell", BENCH_FAULTED, ids=bench.cell_key)
+def test_faulted_quick_cells_match_golden(cell):
+    """The quick uts and turing DistWS cells under a crash + steal-loss +
+    straggler plan: simulated observables, ``faults`` block included,
+    and ``events_processed`` are the recorded ones."""
+    args = bench_faulted_args(cell)
+    assert_golden(f"bench-faulted|{bench.cell_key(cell)}", cell_run(*args),
+                  plan=args[-1])
 
 
 def test_streams_exercise_the_scan_events():
-    """The identity above is not vacuous: the scan's kinds all occur.
+    """The timelines are not vacuous: the scan's kinds all occur.
 
     DistWS ships chunks to the mailbox and takes from the local shared
     deque (tier 2); X10WS parks from the scan's kernel-resident idle
@@ -273,7 +361,7 @@ def count_scan_calls(monkeypatch):
 
 @pytest.mark.parametrize("sched_name", ["DistWS", "X10WS"])
 def test_observed_runs_take_the_scan(monkeypatch, sched_name):
-    """An observer must not send the worker back to the generator round."""
+    """An observed run's local tiers run as scan steps."""
     calls = count_scan_calls(monkeypatch)
     observed("uts", SCHEDULERS[sched_name])
     assert calls["step"] > 0
@@ -284,8 +372,8 @@ def test_observed_runs_take_the_scan(monkeypatch, sched_name):
 
 @pytest.mark.parametrize("sched_name", ["DistWS", "X10WS"])
 def test_crash_plan_runs_take_the_scan(monkeypatch, sched_name):
-    """A crash plan does not send the worker back to the generator round:
-    the scan runs, and the crash lost work it had to recover."""
+    """A crash plan's run steps the scan, and the crash lost work it had
+    to recover."""
     plan = fault_plan("turing", sched_name, "early-crash")
     calls = count_scan_calls(monkeypatch)
     snapshot = json.loads(
@@ -294,146 +382,39 @@ def test_crash_plan_runs_take_the_scan(monkeypatch, sched_name):
     assert snapshot["faults"]["tasks_lost"] > 0
 
 
-# -- golden timelines ---------------------------------------------------------
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden_scan_timelines.json")
-REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
-
-#: The bare cells of the full-run identity tests in tests/sim: 4 places x
-#: 2 workers, ``max_threads=6``, app seed 12345, no observer.
-BARE_CELLS = (("uts", "DistWS"), ("uts", "X10WS"), ("turing", "X10WS"))
-
-#: The quick-grid cells diffed under a fixed fault plan; ``{crash_at}`` is
-#: ``CRASH_FRACTION`` of the cell's fault-free makespan.
-BENCH_FAULT_PLAN = ("crash:p2@{crash_at},loss:steal=0.1,straggle:p1x2,"
-                    "policy:relax,seed:7")
-CRASH_FRACTION = 0.4
-BENCH_FAULTED = tuple(cell for cell in bench.QUICK_GRID
-                      if cell["app"] in ("uts", "turing")
-                      and cell["scheduler"] == "DistWS")
-
-
-def cell_run(app_name, sched_name, places, workers, max_threads, seed,
-             app_seed, spec=None):
-    """``observed``'s tuple for an unobserved run (no JSONL stream),
-    configured as :func:`repro.harness.bench.run_cell` configures a cell."""
-    _reset_task_ids()
-    rt = SimRuntime(ClusterSpec(n_places=places, workers_per_place=workers,
-                                max_threads=max_threads),
-                    make_scheduler(sched_name), seed=seed)
-    injector = None
-    if spec is not None:
-        injector = FaultInjector(FaultPlan.parse(spec)).attach(rt)
-    stats = make_app(app_name, scale="test", seed=app_seed).run(
-        rt, validate=False)
-    return (None, json.dumps(stats.snapshot(), sort_keys=True),
-            rt.env.events_processed,
-            repr(injector.events) if injector is not None else None)
-
-
-def bare_args(app_name, sched_name):
-    return (app_name, sched_name, 4, 2, 6, 1, 12345)
-
-
-def bench_faulted_args(cell):
-    """``cell_run`` arguments of a faulted quick-grid cell; the crash time
-    comes from the cell's fault-free makespan."""
-    args = (cell["app"], cell["scheduler"], cell["places"], cell["workers"],
-            cell["workers"] + 4, bench.SCHED_SEED, bench.APP_SEED)
-    makespan = json.loads(cell_run(*args)[1])["makespan_cycles"]
-    return args + (BENCH_FAULT_PLAN.format(
-        crash_at=repr(CRASH_FRACTION * makespan)),)
-
-
-def _sha(text):
-    if text is None:
-        return None
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def digest(run):
-    """A run's golden timeline: its event count, digests of the snapshot,
-    the JSONL stream and the fault event list, and the makespan and
-    ``faults`` block in clear."""
-    jsonl, snapshot, events, fault_events = run
-    snap = json.loads(snapshot)
-    return {"events_processed": events,
-            "makespan_cycles": snap["makespan_cycles"],
-            "faults": snap.get("faults"),
-            "snapshot_sha256": _sha(snapshot),
-            "jsonl_sha256": _sha(jsonl),
-            "fault_events_sha256": _sha(fault_events)}
-
-
-def _object_kernel_run(args):
-    """``cell_run(*args)`` in a fresh interpreter under the object kernel."""
-    env = dict(os.environ, REPRO_KERNEL="object",
-               PYTHONPATH=os.pathsep.join([os.path.join(REPO, "src"), REPO]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import json, sys\n"
-         "from tests.obs.test_scan_paths import cell_run\n"
-         "print(json.dumps(cell_run(*json.loads(sys.argv[1]))))",
-         json.dumps(args)],
-        env=env, cwd=REPO, capture_output=True, text=True, timeout=600)
-    assert out.returncode == 0, out.stderr
-    return tuple(json.loads(out.stdout))
+def recorded_cases():
+    """Every golden case, as ``(key, run, extra)``."""
+    for app_name in APPS:
+        for sched_name in sorted(SCHEDULERS):
+            yield (f"observed|{app_name}|{sched_name}",
+                   observed(app_name, SCHEDULERS[sched_name]), {})
+    for app_name, sched_name, plan_name in FAULT_CASES:
+        yield (f"faults|{app_name}|{sched_name}|{plan_name}",
+               observed(app_name, SCHEDULERS[sched_name],
+                        fault_plan(app_name, sched_name, plan_name)), {})
+    for app_name, sched_name in AFTER_COMMIT_CELLS:
+        spec, run = crash_after_commit(app_name, SCHEDULERS[sched_name])
+        yield f"after-commit|{app_name}|{sched_name}", run, {"plan": spec}
+    for i, (spec, met, run) in enumerate(shared_lock_crashes()[0]):
+        yield (f"shared-lock-{i}|turing|DistWS", run,
+               {"plan": spec, "states": met})
+    for app_name, sched_name in BARE_CELLS:
+        yield (f"bare|{app_name}|{sched_name}",
+               cell_run(*bare_args(app_name, sched_name)), {})
+    for cell in BENCH_FAULTED:
+        args = bench_faulted_args(cell)
+        yield (f"bench-faulted|{bench.cell_key(cell)}", cell_run(*args),
+               {"plan": args[-1]})
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
-    """Record every case's timeline into ``golden_scan_timelines.json``.
+    """Re-record every case's timeline into ``golden_scan_timelines.json``.
 
-    Each case runs on the kernel-resident scan and on the generator
-    round (``generator_prefix``); the bare and faulted bench cells run on
-    the flat kernel and, in a fresh interpreter, on the object kernel.
-    Nothing is written unless both runs of every case are byte-identical.
-
-        PYTHONPATH=src:. python -c "from tests.obs.test_scan_paths import \\
-    regenerate; regenerate()"
+    For a deliberate physics change only, argued for in CHANGES.md: the
+    recorded timelines are the reference the scan is checked against.
     """
-    goldens = {}
-    mismatched = []
-
-    def record(key, run, oracle, **extra):
-        if run != oracle:
-            mismatched.append(key)
-        goldens[key] = dict(digest(run), **extra)
-
-    for app_name in APPS:
-        for sched_name in sorted(SCHEDULERS):
-            cls = SCHEDULERS[sched_name]
-            record(f"observed|{app_name}|{sched_name}",
-                   observed(app_name, cls),
-                   observed(app_name, generator_prefix(cls)))
-    for app_name, sched_name, plan_name in FAULT_CASES:
-        cls = SCHEDULERS[sched_name]
-        plan = fault_plan(app_name, sched_name, plan_name)
-        record(f"faults|{app_name}|{sched_name}|{plan_name}",
-               observed(app_name, cls, plan),
-               observed(app_name, generator_prefix(cls), plan))
-    for app_name, sched_name in AFTER_COMMIT_CELLS:
-        cls = SCHEDULERS[sched_name]
-        spec, run = crash_after_commit(app_name, cls)
-        record(f"after-commit|{app_name}|{sched_name}", run,
-               observed(app_name, generator_prefix(cls),
-                        FaultPlan.parse(spec)), plan=spec)
-    found, _ = shared_lock_crashes()
-    cls = generator_prefix(SCHEDULERS["DistWS"])
-    for i, (spec, states, run) in enumerate(found):
-        record(f"shared-lock-{i}|turing|DistWS", run,
-               observed("turing", cls, FaultPlan.parse(spec)),
-               plan=spec, states=states)
-    for app_name, sched_name in BARE_CELLS:
-        args = bare_args(app_name, sched_name)
-        record(f"bare|{app_name}|{sched_name}", cell_run(*args),
-               _object_kernel_run(args))
-    for cell in BENCH_FAULTED:
-        args = bench_faulted_args(cell)
-        record(f"bench-faulted|{bench.cell_key(cell)}", cell_run(*args),
-               _object_kernel_run(args), plan=args[-1])
-    if mismatched:
-        raise AssertionError(f"the oracle disagrees on {mismatched}; "
-                             "nothing written")
+    recorded = {key: dict(digest(run), **extra)
+                for key, run, extra in recorded_cases()}
     with open(GOLDEN, "w") as fh:
-        json.dump(goldens, fh, sort_keys=True, indent=1)
+        json.dump(recorded, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -1,8 +1,7 @@
 """The worker's hot cycle stays in the kernel: generator resumes are rare.
 
-Under the flat kernel the steal scan runs the local tiers, executes the
-tasks they find and parks failed rounds without resuming the worker's
-generator.  The generator resumes to start, to run the policy's remote
+The steal scan runs the local tiers, executes the tasks they find and
+parks failed rounds without resuming the worker's generator.  The generator resumes to start, to run the policy's remote
 tail (``Scheduler.find_work_tail``) and to exit — nothing else.  These
 tests count ``Process._step_send``/``_step_throw`` calls per worker
 process on a uts test-scale run.
@@ -12,17 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 
-import pytest
-
 from repro.apps import make_app
 from repro.cluster.topology import ClusterSpec
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import _reset_task_ids
 from repro.sched import SCHEDULERS
 from repro.sim import engine
-
-pytestmark = pytest.mark.skipif(engine.KERNEL != "flat",
-                                reason="the steal scan is flat-kernel only")
 
 SPEC = ClusterSpec(n_places=4, workers_per_place=3, max_threads=5)
 
@@ -37,7 +31,7 @@ def counted_run(monkeypatch, sched_name):
     entries: Counter = Counter()
 
     def counting(name):
-        original = getattr(engine.FlatProcess, name)
+        original = getattr(engine.Process, name)
 
         def wrapper(self, value):
             if not in_tail.get(self):
@@ -46,7 +40,7 @@ def counted_run(monkeypatch, sched_name):
         return wrapper
 
     for name in ("_step_send", "_step_throw"):
-        monkeypatch.setattr(engine.FlatProcess, name, counting(name))
+        monkeypatch.setattr(engine.Process, name, counting(name))
     tail = rt.scheduler.find_work_tail
     if tail is not None:
         def counted_tail(worker):

@@ -1,4 +1,4 @@
-"""Handle lifecycle and cross-kernel equivalence for the flat kernel.
+"""Handle lifecycle and recorded-interleaving equivalence for the kernel.
 
 The struct-of-arrays kernel keys every schedulable entity — process
 resumes, events, park hops, backoff probes, kernel-resident steal scans —
@@ -9,39 +9,34 @@ the lifecycle invariants:
 - a finished process's handle is recycled LIFO, but a *dirty* handle
   (an interrupt left a stale armed entry in the heap) is retired forever
   — a stale pop must never fire a handle's new owner;
-- arbitrary arm/cancel/fire interleavings (hypothesis-driven) produce
-  the same timeline, causes, and ``events_processed`` accounting as the
-  object kernel in :mod:`repro.sim.engine_object`;
-- full simulations agree between kernels byte for byte, *including*
-  ``events_processed`` — the flat kernel's batched same-cycle dispatch
-  counts every dispatched entry exactly as the one-pop-per-iteration
-  legacy loop does.
+- arm/cancel/fire interleavings produce the timeline, causes,
+  ``events_processed`` and final clock recorded in
+  ``golden_interleavings.json``.  The corpus was drawn from hypothesis
+  strategies at a fixed seed, plus explicit same-timestamp race shapes,
+  and recorded from the earlier object kernel, only where this kernel
+  agreed on every input;
+- full simulations reproduce their recorded timelines byte for byte,
+  *including* ``events_processed`` — batched same-cycle dispatch counts
+  every dispatched entry exactly as a one-pop-per-iteration loop does.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sim import engine_object
-from repro.sim.engine import (FlatEnvironment, FlatParkRecord, Interrupt,
+from repro.sim import engine
+from repro.sim.engine import (Environment, Interrupt, ParkRecord,
                               _INITIAL_CAPACITY)
-from repro.sim import engine as flat_engine
-
-REPO_ROOT = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", ".."))
+from tests.obs.test_scan_paths import assert_golden, bare_args, cell_run
 
 
 # -- free-list growth --------------------------------------------------------
 
 def test_free_list_exhaustion_grows_geometrically():
-    env = FlatEnvironment()
+    env = Environment()
     assert env._cap == _INITIAL_CAPACITY
 
     def sleeper():
@@ -61,7 +56,7 @@ def test_free_list_exhaustion_grows_geometrically():
 
 def test_growth_keeps_armed_entries_valid():
     """Entries armed before a growth fire correctly after it."""
-    env = FlatEnvironment()
+    env = Environment()
     fired = []
 
     def early():
@@ -82,7 +77,7 @@ def test_growth_keeps_armed_entries_valid():
 # -- handle recycling --------------------------------------------------------
 
 def test_finished_process_handle_recycled_lifo():
-    env = FlatEnvironment()
+    env = Environment()
 
     def quick():
         yield env.sleep(1.0)
@@ -103,7 +98,7 @@ def test_stale_entry_never_fires_old_or_new_owner():
     the stale pop at t=100 to an unrelated new owner, so it is retired
     (cleared, never returned to the free-list).
     """
-    env = FlatEnvironment()
+    env = Environment()
     log = []
 
     def victim_body():
@@ -141,11 +136,11 @@ def test_stale_entry_never_fires_old_or_new_owner():
 
 def test_clean_interrupt_of_parked_process_recycles_handle():
     """A park cancel disarms in place: the handle stays clean."""
-    env = FlatEnvironment()
+    env = Environment()
 
     def parker():
         proc = env._current
-        park = FlatParkRecord(env, proc)
+        park = ParkRecord(env, proc)
         try:
             park.begin(50.0, False)
             yield park
@@ -165,38 +160,43 @@ def test_clean_interrupt_of_parked_process_recycles_handle():
     assert p._h in env._free
 
 
-# -- hypothesis: interleavings match the object kernel -----------------------
+# -- recorded interleavings --------------------------------------------------
 
-def _cause_label(mod, cause):
+CORPUS = os.path.join(os.path.dirname(__file__), "golden_interleavings.json")
+
+with open(CORPUS) as _fh:
+    _CORPUS = json.load(_fh)
+
+
+def _cause_label(cause):
     for name in ("CAUSE_DONE", "CAUSE_WORK", "CAUSE_TIMEOUT", "CAUSE_BOARD"):
-        if cause is getattr(mod, name):
+        if cause is getattr(engine, name):
             return name
     return repr(cause)
 
 
-def _park_trace(mod, ops):
+def _park_trace(ops):
     """One parker vs a scripted waker; returns the full wake timeline."""
-    env = mod.Environment()
+    env = Environment()
     trace = []
     park_box = []
 
     def parker():
-        proc = env._current if hasattr(env, "_current") else None
-        park = mod.ParkRecord(env, proc if proc is not None else env._current)
+        park = ParkRecord(env, env._current)
         park_box.append(park)
         for backoff in (3.0, 5.0, 7.0) * (len(ops) + 1):
             park.begin(backoff, False)
             cause = yield park
-            trace.append((env.now, _cause_label(mod, cause)))
+            trace.append((env.now, _cause_label(cause)))
 
     def waker():
         for dt, act in ops:
             yield env.timeout(float(dt))
             park = park_box[0]
             if act == 0:
-                park._fire(mod.CAUSE_WORK)
+                park._fire(engine.CAUSE_WORK)
             elif act == 1:
-                park._fire(mod.CAUSE_BOARD)
+                park._fire(engine.CAUSE_BOARD)
             # act == 2: let the backoff deadline win this window.
 
     env.process(parker())
@@ -205,24 +205,9 @@ def _park_trace(mod, ops):
     return trace, env.events_processed, env.now
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2)),
-                min_size=1, max_size=20))
-def test_park_interleavings_match_object_kernel(ops):
-    """Same wakes, same causes, same event accounting, any interleaving.
-
-    ``dt=0`` steps make wake sources race the backoff deadline at one
-    timestamp — exactly the races the arm/seq guards must resolve the
-    way the legacy kernel's AnyOf pop order did.
-    """
-    flat = _park_trace(flat_engine, ops)
-    legacy = _park_trace(engine_object, ops)
-    assert flat == legacy
-
-
-def _interrupt_trace(mod, plan):
+def _interrupt_trace(plan):
     """Sleepers interrupted at scripted times; timeline + accounting."""
-    env = mod.Environment()
+    env = Environment()
     trace = []
 
     def sleeper(idx, dur):
@@ -230,7 +215,7 @@ def _interrupt_trace(mod, plan):
             yield env.timeout(0.0)
             yield env.sleep(float(dur))
             trace.append(("slept", idx, env.now))
-        except mod.Interrupt:
+        except Interrupt:
             trace.append(("interrupted", idx, env.now))
 
     procs = [env.process(sleeper(i, dur)) for i, (dur, _) in enumerate(plan)]
@@ -248,112 +233,55 @@ def _interrupt_trace(mod, plan):
     return trace, env.events_processed, env.now
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.lists(
-    st.tuples(st.integers(1, 12),
-              st.one_of(st.none(), st.integers(0, 12))),
-    min_size=1, max_size=12))
-def test_sleep_interrupt_interleavings_match_object_kernel(plan):
-    """Arm/cancel/fire races on plain sleeps agree across kernels.
+def _recorded(result):
+    """A trace as the corpus stores it."""
+    trace, events, now = json.loads(json.dumps(result))
+    return {"trace": trace, "events_processed": events, "now": now}
+
+
+def _assert_corpus(name, trace_of):
+    entries = _CORPUS[name]
+    assert len(entries) >= 400
+    for entry in entries:
+        expected = {key: entry[key]
+                    for key in ("trace", "events_processed", "now")}
+        assert _recorded(trace_of(entry["input"])) == expected, entry["input"]
+
+
+def test_park_interleavings_match_object_kernel():
+    """Same wakes, same causes, same event accounting, every recorded
+    interleaving.
+
+    ``dt=0`` steps make wake sources race the backoff deadline at one
+    timestamp — exactly the races the arm/seq guards must resolve the
+    way the object kernel's AnyOf pop order did.
+    """
+    _assert_corpus("park", _park_trace)
+
+
+def test_sleep_interrupt_interleavings_match_object_kernel():
+    """Arm/cancel/fire races on plain sleeps give the recorded traces.
 
     ``cut == dur`` makes the interrupt land exactly when the sleep would
     fire; ``cut > dur`` interrupts a process that already moved on.
     """
-    flat = _interrupt_trace(flat_engine, plan)
-    legacy = _interrupt_trace(engine_object, plan)
-    assert flat == legacy
-
-
-# -- recorded interleaving corpus ---------------------------------------------
-
-CORPUS = os.path.join(os.path.dirname(__file__), "golden_interleavings.json")
-
-#: The interleaving inputs: a parker's scripted waker steps ``(dt, act)``
-#: and sleepers' ``(dur, cut)`` plans.
-PARK_OPS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2)),
-                    min_size=1, max_size=20)
-INTERRUPT_PLANS = st.lists(
-    st.tuples(st.integers(1, 12), st.one_of(st.none(), st.integers(0, 12))),
-    min_size=1, max_size=12)
-
-
-def _park_races():
-    """Wakes racing a backoff deadline at one timestamp: a ``dt=0`` wake
-    right after a step that lands on or near a deadline (3, 8, 15, ...)."""
-    shapes = [[[d, a], [0, b]] for d in range(10) for a in range(3)
-              for b in range(2)]
-    shapes += [[[d1, 2], [d2, 0], [0, 1]] for d1 in range(10)
-               for d2 in range(10)]
-    shapes += [[[0, 0]] * k for k in range(1, 6)]
-    return shapes
-
-
-def _interrupt_races():
-    """Interrupts landing exactly when the sleep would fire (``cut ==
-    dur``), alone and beside a second sleeper of every length."""
-    shapes = [[[dur, dur]] for dur in range(1, 13)]
-    shapes += [[[dur, dur], [other, dur]] for dur in range(1, 13)
-               for other in range(1, 13)]
-    shapes += [[[dur, dur], [dur, None]] for dur in range(1, 13)]
-    return shapes
-
-
-def _draw(strategy, n, seed):
-    """``n`` inputs from ``strategy`` at a fixed seed, duplicates dropped."""
-    from hypothesis import HealthCheck, Phase
-    from hypothesis import seed as fixed_seed
-
-    drawn = []
-
-    @fixed_seed(seed)
-    @settings(max_examples=n, database=None, deadline=None,
-              phases=[Phase.generate],
-              suppress_health_check=list(HealthCheck))
-    @given(strategy)
-    def collect(value):
-        drawn.append(json.loads(json.dumps(value)))
-
-    collect()
-    unique = []
-    for value in drawn:
-        if value not in unique:
-            unique.append(value)
-    return unique
-
-
-def _normalized(result):
-    """A trace tuple as it reads back from JSON."""
-    return json.loads(json.dumps(result))
+    _assert_corpus("interrupt", _interrupt_trace)
 
 
 def regenerate_interleavings() -> None:  # pragma: no cover - maintenance
-    """Record the interleaving corpus into ``golden_interleavings.json``.
+    """Re-record the corpus's traces for its stored inputs.
 
-    Draws inputs from the strategies above at a fixed seed, adds the
-    explicit race shapes, and stores each input in full with the object
-    kernel's trace, ``events_processed`` and ``now``.  Nothing is written
-    unless the flat kernel agrees on every input.
+    For a deliberate kernel change only, argued for in CHANGES.md: the
+    recorded traces are the reference the kernel is checked against.
 
-        PYTHONPATH=src:. python -c "from tests.sim.test_handles import \
+        PYTHONPATH=src:. python -c "from tests.sim.test_handles import \\
     regenerate_interleavings; regenerate_interleavings()"
     """
-    corpus = {}
-    for name, trace, strategy, races in (
-            ("park", _park_trace, PARK_OPS, _park_races()),
-            ("interrupt", _interrupt_trace, INTERRUPT_PLANS,
-             _interrupt_races())):
-        inputs = _draw(strategy, 420, seed=20261018)
-        assert len(inputs) >= 400, (name, len(inputs))
-        inputs += [shape for shape in races if shape not in inputs]
-        entries = []
-        for value in inputs:
-            legacy = _normalized(trace(engine_object, value))
-            if _normalized(trace(flat_engine, value)) != legacy:
-                raise AssertionError(f"kernels disagree on {name} input "
-                                     f"{value!r}; nothing written")
-            entries.append({"input": value, "trace": legacy[0],
-                            "events_processed": legacy[1], "now": legacy[2]})
-        corpus[name] = entries
+    corpus = {
+        name: [dict(_recorded(trace_of(entry["input"])),
+                    input=entry["input"]) for entry in _CORPUS[name]]
+        for name, trace_of in (("interrupt", _interrupt_trace),
+                               ("park", _park_trace))}
     with open(CORPUS, "w") as fh:
         # One entry per line, so a changed entry diffs as one line.
         fh.write("{\n" + ",\n".join(
@@ -362,35 +290,7 @@ def regenerate_interleavings() -> None:  # pragma: no cover - maintenance
             + "\n]" for name, entries in sorted(corpus.items())) + "\n}\n")
 
 
-# -- cross-kernel full-simulation identity (batched-dispatch accounting) -----
-
-_CELL_SNIPPET = """\
-import json
-from repro.cluster.topology import ClusterSpec
-from repro.runtime.runtime import SimRuntime
-from repro.runtime.task import _reset_task_ids
-from repro.sched import make_scheduler
-from repro.apps import make_app
-_reset_task_ids()
-spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=6)
-rt = SimRuntime(spec, make_scheduler({sched!r}), seed=1)
-app = make_app({app!r}, scale="test", seed=12345)
-stats = app.run(rt, validate=False)
-print(json.dumps({{"events_processed": rt.env.events_processed,
-                   "snapshot": stats.snapshot()}}, sort_keys=True))
-"""
-
-
-def _run_cell_subprocess(app: str, sched: str, kernel: str) -> str:
-    env = dict(os.environ)
-    env["REPRO_KERNEL"] = kernel
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    out = subprocess.run(
-        [sys.executable, "-c", _CELL_SNIPPET.format(app=app, sched=sched)],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
-
+# -- full-simulation identity (batched-dispatch accounting) ------------------
 
 @pytest.mark.parametrize("app,sched", [
     ("uts", "DistWS"),     # scan + policy tail (shared deque, remote tier)
@@ -398,13 +298,13 @@ def _run_cell_subprocess(app: str, sched: str, kernel: str) -> str:
     ("turing", "X10WS"),   # barrier phases: heavy park/wake churn
 ])
 def test_full_run_identical_across_kernels_including_event_count(app, sched):
-    """Snapshots AND ``events_processed`` agree byte for byte.
+    """Snapshots AND ``events_processed`` are the recorded ones, which
+    the object kernel produced too.
 
-    The flat kernel's batch drain and collapsed rounds must count every
-    logical dispatch — a diverging event count means an entry was
-    skipped or double-counted even if the physics happen to match.
+    The batch drain and collapsed rounds must count every logical
+    dispatch — a diverging event count means an entry was skipped or
+    double-counted even if the physics happen to match.
     """
-    flat = _run_cell_subprocess(app, sched, "flat")
-    legacy = _run_cell_subprocess(app, sched, "object")
-    assert json.loads(flat)["events_processed"] > 0
-    assert flat == legacy
+    run = cell_run(*bare_args(app, sched))
+    assert run[2] > 0
+    assert_golden(f"bare|{app}|{sched}", run)
